@@ -23,31 +23,51 @@ def singular_values(F: np.ndarray) -> np.ndarray:
     return np.linalg.svd(F, compute_uv=False)
 
 
-def _stretches_on_sphere(F: np.ndarray, q: SphereQuadrature) -> np.ndarray:
-    """|F omega| at every quadrature direction.
+def _sphere_average(C: np.ndarray, phi: Potential, m: float,
+                    q: SphereQuadrature, lower: bool = False) -> np.ndarray:
+    """Sphere average of Phi(m^-1 (|F w|^m - 1)) over a stack of Grams C = F^T F.
 
-    Evaluated on the canonical representative diag(sigma(F)): the spherical
-    averages depend on F only through its singular values, and fixing the
-    orientation keeps the quadrature error identical across the orbit
-    F -> U' F U'' instead of drifting with the integrand's kink position.
+    |F w|^2 = w^T C w is one (B, k) @ (k, Q) product over the k upper-triangle
+    monomials w_i w_j of the quadrature points.  With ``lower`` the argument
+    takes its positive part, otherwise its absolute value.  Shape
+    (B, d, d) -> (B,).
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    sig = np.linalg.svd(F, compute_uv=False)
-    return np.linalg.norm(q.points * sig[None, :], axis=1)
+    i, j = np.triu_indices(C.shape[-1])
+    coef = np.where(i == j, 1.0, 2.0) * C[:, i, j]
+    # rounding pushes w^T C w slightly below 0 when F is singular, and the
+    # fractional power would turn that into a NaN that np.argmin picks
+    t2 = np.maximum(coef @ (q.points[:, i] * q.points[:, j]).T, 0.0)
+    arg = ((t2 if m == 2 else t2 ** (m / 2)) - 1.0) / m
+    arg = np.maximum(arg, 0.0) if lower else np.abs(arg)
+    return phi(arg) @ q.weights
+
+
+def _gram(Fs: np.ndarray) -> np.ndarray:
+    """F^T F for a stack of matrices, shape (B, d, d)."""
+    return np.swapaxes(Fs, -1, -2) @ Fs
+
+
+def _canonical_gram(Fs: np.ndarray) -> np.ndarray:
+    """diag(sigma(F)^2) for a stack of matrices, shape (B, d, d).
+
+    The spherical averages depend on F only through its singular values, and
+    fixing the orientation keeps the quadrature error identical across the
+    orbit F -> U' F U'' instead of drifting with the integrand's kink position.
+    """
+    sig = np.linalg.svd(Fs, compute_uv=False)
+    return sig[:, :, None] ** 2 * np.eye(Fs.shape[-1])
 
 
 def density_lower(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 (|F w|^m - 1)_+): the lower bound density."""
-    t = _stretches_on_sphere(F, q)
-    arg = np.maximum((t**m - 1.0) / m, 0.0)
-    return float(np.dot(q.weights, phi(arg)))
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    return float(_sphere_average(_canonical_gram(F[None]), phi, m, q, lower=True)[0])
 
 
 def density_tilde(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 | |F w|^m - 1 |)."""
-    t = _stretches_on_sphere(F, q)
-    arg = np.abs(t**m - 1.0) / m
-    return float(np.dot(q.weights, phi(arg)))
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    return float(_sphere_average(_canonical_gram(F[None]), phi, m, q)[0])
 
 
 def closed_form_tilde_2d(F) -> float:
@@ -73,29 +93,20 @@ def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
     return float(phi(max((abs(t) ** m - 1.0) / m, 0.0)))
 
 
-def _tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
-                 q: SphereQuadrature) -> np.ndarray:
-    """density_tilde over a batch of matrices, shape (B, d, d) -> (B,)."""
-    # |F w| for all candidates at once: (B, Q)
-    fw = np.einsum("bij,qj->bqi", Fs, q.points)
-    t = np.linalg.norm(fw, axis=2)
-    arg = np.abs(t**m - 1.0) / m
-    return phi(arg) @ q.weights
-
-
 def density_lower_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_lower over a batch of matrices, shape (B, d, d) -> (B,)."""
-    fw = np.einsum("bij,qj->bqi", np.asarray(Fs, dtype=float), q.points)
-    t = np.linalg.norm(fw, axis=2)
-    arg = np.maximum((t**m - 1.0) / m, 0.0)
-    return phi(arg) @ q.weights
+    return _sphere_average(_gram(np.asarray(Fs, dtype=float)), phi, m, q, lower=True)
 
 
 def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_tilde over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _tilde_batch(np.asarray(Fs, dtype=float), phi, m, q)
+    return _sphere_average(_gram(np.asarray(Fs, dtype=float)), phi, m, q)
+
+
+#: laminate candidates evaluated per batch, bounding the (B, Q) temporaries
+_LAMINATE_CHUNK = 16384
 
 
 @dataclass
@@ -107,7 +118,6 @@ class LaminateSearch:
     max_mag: float = 2.0
     n_angle: int = 32
     refine_rounds: int = 2
-    chunk: int = 16384
 
 
 def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
@@ -144,13 +154,13 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
         nvec = np.stack([np.cos(an), np.sin(an)], axis=-1)
         rank1 = a[:, :, None] * nvec[:, None, :]
         best_val, best_idx = np.inf, 0
-        for start in range(0, len(lam), search.chunk):
-            sl = slice(start, start + search.chunk)
+        for start in range(0, len(lam), _LAMINATE_CHUNK):
+            sl = slice(start, start + _LAMINATE_CHUNK)
             lam_c = lam[sl]
             plus = F + (1.0 - lam_c)[:, None, None] * rank1[sl]
             minus = F - lam_c[:, None, None] * rank1[sl]
-            vals = (lam_c * _tilde_batch(plus, phi, m, q)
-                    + (1.0 - lam_c) * _tilde_batch(minus, phi, m, q))
+            vals = (lam_c * _sphere_average(_gram(plus), phi, m, q)
+                    + (1.0 - lam_c) * _sphere_average(_gram(minus), phi, m, q))
             k = int(np.argmin(vals))
             if vals[k] < best_val:
                 best_val, best_idx = float(vals[k]), start + k
@@ -170,7 +180,8 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
         dl, dm, da = dl / 3, dm / 3, da / 3
 
     out = min(tilde_F, best)
-    assert out >= lower_F - 1e-9, "laminate bound fell below the lower bound"
+    if out < lower_F - 1e-9:
+        raise RuntimeError(f"laminate bound {out} fell below the lower bound {lower_F}")
     return out
 
 
@@ -210,32 +221,23 @@ def compute_bounds(F, phi: Potential, m: float, order: int = 256,
     return DensityBounds(F, lower, tilde, lam, phi.p, m, order)
 
 
-_COERCIVITY_CACHE: dict[tuple, float] = {}
-
-
 def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,
                             order: int = 256, n_samples: int = 64,
                             seed: int = 1234) -> float:
     """Fitted constant C with lower-bound density >= C (|F|^p - 1).
 
     Minimizes the ratio over a sample of matrices with Frobenius norm in
-    [2, 50]; cached per (d, profile, m).
+    [2, 50].
     """
-    key = (d, phi.name, m, order)
-    if key in _COERCIVITY_CACHE:
-        return _COERCIVITY_CACHE[key]
     q = sphere_quadrature(d, order)
     rng = np.random.Generator(np.random.Philox(seed))
-    ratios = []
-    for _ in range(n_samples):
+    Fs, norms = np.empty((n_samples, d, d)), np.empty(n_samples)
+    for k in range(n_samples):
         G = rng.standard_normal((d, d))
-        norm = rng.uniform(2.0, 50.0)
-        F = G * (norm / np.linalg.norm(G))
-        lhs = density_lower(F, phi, m, q)
-        ratios.append(lhs / (norm**phi.p - 1.0))
-    c = 0.99 * float(np.min(ratios))
-    _COERCIVITY_CACHE[key] = c
-    return c
+        norms[k] = rng.uniform(2.0, 50.0)
+        Fs[k] = G * (norms[k] / np.linalg.norm(G))
+    lhs = _sphere_average(_canonical_gram(Fs), phi, m, q, lower=True)
+    return 0.99 * float(np.min(lhs / (norms**phi.p - 1.0)))
 
 
 def coercivity_check(F, phi: Potential, m: float = 1.0,

@@ -10,7 +10,6 @@ deterministic.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,9 +18,6 @@ import numpy as np
 from .grids import Grid, SubdomainMask, VectorField, full_mask
 from .kernels import Kernel
 from .materials import MicroPotential, Potential, strain
-
-#: body-force fields share the nodal layout of displacement fields
-LoadField = VectorField
 
 
 class StrainDomainError(ValueError):
@@ -41,15 +37,6 @@ class EnergyReport:
     skipped_diagonal: int
     h: float
     est_error: Optional[float] = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "value": self.value,
-            "pair_count": self.pair_count,
-            "skipped_diagonal": self.skipped_diagonal,
-            "h": self.h,
-            "est_error": self.est_error,
-        })
 
 
 class PairSet:
@@ -183,14 +170,14 @@ def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential
     return VectorField(v.grid, out)
 
 
-def _load_term(u: VectorField, l: LoadField | None) -> float:
+def _load_term(u: VectorField, l: VectorField | None) -> float:
     if l is None:
         return 0.0
     return float(u.grid.cell_volume * np.sum(l.values * u.values))
 
 
 def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
-                 l: LoadField | None = None, support_radius: float = 1.0,
+                 l: VectorField | None = None, support_radius: float = 1.0,
                  pairs: PairSet | None = None) -> EnergyReport:
     """Rescaled small-displacement energy of the deformation x + eps*u.
 
@@ -219,7 +206,7 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
 
 
 def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
-              l: LoadField | None = None, support_radius: float | None = None,
+              l: VectorField | None = None, support_radius: float | None = None,
               pairs: PairSet | None = None) -> EnergyReport:
     """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
     g = u.grid

@@ -4,15 +4,17 @@ zero set, coercivity and the lamination upper bound."""
 import numpy as np
 import pytest
 
+import peribond.density
 from peribond.density import (DensityBounds, LaminateSearch,
                               closed_form_tilde_2d, coercivity_check,
                               compute_bounds, density_laminate_upper,
                               density_lower, density_lower_batch,
                               density_tilde, density_tilde_batch,
+                              fit_coercivity_constant,
                               frame_indifference_check, one_d_exact_density,
                               singular_values, zero_set_predicate)
 from peribond.grids import sphere_quadrature
-from peribond.materials import power_potential
+from peribond.materials import huber_power, power_potential, tabulated_potential
 
 PHI2 = power_potential(2.0)
 Q2 = sphere_quadrature(2, 256)
@@ -103,6 +105,60 @@ class TestBatchHelpers:
                                           rel=1e-5, abs=1e-7)
 
 
+def reference_average(F, phi, m, q, lower):
+    """The stretch |F w| taken as np.linalg.norm(F w) at every quadrature point."""
+    t = np.linalg.norm(q.points @ np.asarray(F, dtype=float).T, axis=1)
+    arg = (t**m - 1.0) / m
+    arg = np.maximum(arg, 0.0) if lower else np.abs(arg)
+    return float(np.dot(q.weights, phi(arg)))
+
+
+def equivalence_matrices(d):
+    rng = np.random.default_rng(100 + d)
+    Fs = [np.eye(d), np.zeros((d, d))]
+    Fs += [rng.uniform(-2.0, 2.0, (d, d)) for _ in range(4)]
+    if d == 2:
+        Fs += [np.diag([1.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]),
+               np.array([[1.0, -1.0], [-1.0, 1.0]]),
+               rot(0.3) @ np.diag([2.0, 0.0]) @ rot(1.1)]
+    if d == 3:
+        Fs += [np.diag([1.5, 1.0, 0.0]), np.ones((3, 3))]
+    return np.array(Fs)
+
+
+class TestSphereAverageEquivalence:
+    """The Gram-matrix sphere average against the |F w| formula it replaced.
+
+    Single-matrix calls average over diag(sigma(F)), batch calls over the raw
+    F; the tolerance is relative to the reference plain average of the same
+    matrix, with a floor for averages that vanish.
+    """
+
+    # order 20 puts circle nodes on both diagonals, the null directions of
+    # the singular 2 x 2 matrices, where rounding can make w^T C w negative
+    QUADS = {1: sphere_quadrature(1, 2), 2: sphere_quadrature(2, 20),
+             3: sphere_quadrature(3, 12)}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2, power_potential(3.0),
+                                     huber_power(2.0, 0.5)], ids=lambda p: p.name)
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
+    def test_matches_norm_formula(self, d, phi, m):
+        q = self.QUADS[d]
+        Fs = equivalence_matrices(d)
+        batch = {True: density_lower_batch(Fs, phi, m, q),
+                 False: density_tilde_batch(Fs, phi, m, q)}
+        for k, F in enumerate(Fs):
+            canon = np.diag(singular_values(F))
+            single = {True: density_lower(F, phi, m, q),
+                      False: density_tilde(F, phi, m, q)}
+            for lower in (True, False):
+                for got, G in ((single[lower], canon), (batch[lower][k], F)):
+                    ref = reference_average(G, phi, m, q, lower)
+                    tol = 1e-12 * reference_average(G, phi, m, q, False) + 1e-20
+                    assert abs(got - ref) <= tol, (F, lower, got, ref)
+
+
 class TestFrameIndifference:
     def test_depends_only_on_singular_values(self):
         # scalar bounds canonicalize to diag(sigma), so two-sided rotations
@@ -162,6 +218,13 @@ class TestLaminateUpper:
         with pytest.raises(ValueError):
             density_laminate_upper(np.eye(3), PHI2, 2.0, sphere_quadrature(3, 32))
 
+    def test_raises_when_below_lower_bound(self, monkeypatch):
+        # the sandwich guard must survive python -O, so it is no assert
+        monkeypatch.setattr(peribond.density, "density_lower", lambda *a, **k: 1e9)
+        s = LaminateSearch(n_lambda=5, n_mag=4, n_angle=8, refine_rounds=0)
+        with pytest.raises(RuntimeError, match="below the lower bound"):
+            density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2, s)
+
 
 class TestCoercivity:
     def test_fitted_constant_holds_on_fresh_sample(self):
@@ -172,6 +235,15 @@ class TestCoercivity:
             lhs, rhs, ok = coercivity_check(F, PHI2, 1.0, q=Q2)
             assert ok
             assert rhs > 0.0
+
+    def test_constant_follows_the_profile_not_its_name(self):
+        # both profiles are named "tabulated"; the constant scales with Phi
+        a = np.linspace(0.0, 50.0, 501)
+        c1 = fit_coercivity_constant(2, tabulated_potential(a, a**2, 2.0, 1.0, 1.0))
+        c5 = fit_coercivity_constant(2, tabulated_potential(a, 5 * a**2, 2.0, 5.0, 5.0))
+        assert c1 == pytest.approx(0.1285, abs=1e-4)
+        assert c5 == pytest.approx(0.6427, abs=1e-4)
+        assert c5 == pytest.approx(5 * c1, rel=1e-12)
 
 
 class TestSingularValues:
