@@ -1,23 +1,33 @@
 """Discretized double-integral energies, seminorms and analytic gradients.
 
 All double integrals are midpoint sums over active node pairs within the
-kernel support, diagonal excluded.  Each unordered pair is enumerated once in
-a fixed (offset-major, node-minor) order and doubled, so repeated evaluations
-are bit-identical; numpy's pairwise summation keeps the reduction
-deterministic.
+kernel support, diagonal excluded.  On a uniform grid every bond x -> x + xi
+belongs to one integer-offset class, so a pair set is a list of offsets, each
+a pair of shifted blocks of the grid; a bond sum gathers v(x + xi) - v(x) by
+slice arithmetic and scatters gradients by slice adds.  Each unordered pair is
+enumerated once in a fixed (offset-major, node-minor) order and doubled, so
+repeated evaluations are bit-identical; numpy's pairwise summation keeps the
+reduction deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .grids import Grid, SubdomainMask, VectorField, full_mask
 from .kernels import Kernel
 from .materials import MicroPotential, Potential, strain
+
+#: Consecutive offsets are processed together until they hold this many
+#: bonds.  One offset at a time costs a profile and potential call per offset,
+#: which dominates on small grids with many short offsets; all bonds at once
+#: holds several (d, P) temporaries and raises peak memory on large grids.
+_RUN_BONDS = 1 << 15
+_ALL = slice(None)
 
 
 class StrainDomainError(ValueError):
@@ -36,84 +46,168 @@ class EnergyReport:
     pair_count: int
     skipped_diagonal: int
     h: float
-    est_error: Optional[float] = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Offset:
+    """The bonds x -> x + xi of one integer offset between active nodes.
+
+    ``src`` is the block of bond tails and ``dst`` the same block shifted by
+    the offset.  ``keep`` masks the flattened block to the bonds whose ends
+    are both active; it is None when every bond of the block is.
+    """
+
+    xi: np.ndarray
+    r: float
+    src: tuple[slice, ...]
+    dst: tuple[slice, ...]
+    shape: tuple[int, ...]
+    keep: np.ndarray | None
+    n: int
+
+
+class _Run:
+    """Consecutive offsets whose bonds one bond-sum step handles together."""
+
+    def __init__(self, offsets: list[_Offset]):
+        self.offsets = offsets
+        self.counts = np.array([o.n for o in offsets])
+        self.n = int(self.counts.sum())
+        self.r = np.array([o.r for o in offsets])
+        self.xi = np.array([o.xi for o in offsets]).T
+
+    def per_bond(self, per_offset: np.ndarray) -> np.ndarray:
+        """Repeat one value (or column) per offset over the offset's bonds."""
+        return np.repeat(per_offset, self.counts, axis=-1)
+
+    def segments(self, bonds: np.ndarray) -> Iterator[tuple[_Offset, np.ndarray]]:
+        """Split a component-major (d, n) block into its offsets' parts."""
+        k = 0
+        for o in self.offsets:
+            yield o, bonds[:, k:k + o.n]
+            k += o.n
 
 
 class PairSet:
     """Unordered active-node pairs within a cutoff radius on a uniform grid.
 
-    Pairs are generated per integer offset (so each pair carries an exact
-    distance and unit direction shared by its offset class) and concatenated
-    in sorted offset order.
+    Pairs are held per integer offset, in sorted offset order: each offset
+    carries its exact bond vector and length and the two blocks of the
+    active nodes' bounding box that it connects.  ``i``, ``j``, ``r`` and
+    ``dir`` expand the bonds one by one, in the order every bond sum uses.
     """
 
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
         self.grid = grid
         self.radius = radius
         h = grid.h
-        shape = grid.n_cells
-        caps = np.minimum(np.floor(radius / h + 1e-12).astype(int),
-                          np.asarray(shape) - 1)
-        idx = np.arange(grid.n_nodes).reshape(shape)
-        active = np.asarray(active, dtype=bool).reshape(shape)
-
-        offsets = []
-        ranges = [range(-c, c + 1) for c in caps]
-        ranges[0] = range(0, caps[0] + 1)  # lexicographically positive only
-        for o in itertools.product(*ranges):
-            if all(c == 0 for c in o):
-                continue
-            if o[0] == 0 and next(c for c in o if c != 0) < 0:
-                continue
-            if np.linalg.norm(np.asarray(o) * h) <= radius + 1e-12:
-                offsets.append(o)
-        offsets.sort()
-
-        i_parts, j_parts, r_parts, d_parts = [], [], [], []
-        for o in offsets:
-            src_sl, dst_sl = [], []
-            for ok, n in zip(o, shape):
-                src_sl.append(slice(max(0, -ok), n - max(0, ok)))
-                dst_sl.append(slice(max(0, ok), n - max(0, -ok)))
-            src = idx[tuple(src_sl)].ravel()
-            dst = idx[tuple(dst_sl)].ravel()
-            keep = active[tuple(src_sl)].ravel() & active[tuple(dst_sl)].ravel()
-            if not keep.any():
-                continue
-            src, dst = src[keep], dst[keep]
-            xi = np.asarray(o) * h
-            r = float(np.linalg.norm(xi))
-            i_parts.append(src)
-            j_parts.append(dst)
-            r_parts.append(np.full(src.shape, r))
-            d_parts.append(np.broadcast_to(xi / r, (len(src), grid.dim)))
-
-        if i_parts:
-            self.i = np.concatenate(i_parts)
-            self.j = np.concatenate(j_parts)
-            self.r = np.concatenate(r_parts)
-            self.dir = np.concatenate(d_parts)
-        else:
-            self.i = np.empty(0, dtype=int)
-            self.j = np.empty(0, dtype=int)
-            self.r = np.empty(0)
-            self.dir = np.empty((0, grid.dim))
+        active = np.asarray(active, dtype=bool).reshape(grid.n_cells)
         self.n_active = int(active.sum())
-        self._rho_cache: dict[int, np.ndarray] = {}
+
+        offsets: list[_Offset] = []
+        if self.n_active:
+            nonzero = np.nonzero(active)
+            lo = [int(a.min()) for a in nonzero]
+            hi = [int(a.max()) + 1 for a in nonzero]
+            dense = bool(active[tuple(map(slice, lo, hi))].all())
+            caps = np.minimum(np.floor(radius / h + 1e-12).astype(int),
+                              np.subtract(hi, lo) - 1)
+            ranges = [range(-c, c + 1) for c in caps]
+            ranges[0] = range(0, caps[0] + 1)  # lexicographically positive only
+            for o in itertools.product(*ranges):  # already in sorted order
+                if all(c == 0 for c in o):
+                    continue
+                if o[0] == 0 and next(c for c in o if c != 0) < 0:
+                    continue
+                xi = np.asarray(o) * h
+                r = float(np.linalg.norm(xi))
+                if r > radius + 1e-12:
+                    continue
+                src = tuple(slice(a + max(0, -k), b - max(0, k)) for k, a, b in zip(o, lo, hi))
+                dst = tuple(slice(a + max(0, k), b - max(0, -k)) for k, a, b in zip(o, lo, hi))
+                shape = tuple(s.stop - s.start for s in src)
+                keep = None if dense else (active[src] & active[dst]).ravel()
+                if keep is not None and keep.all():
+                    keep = None
+                n = int(np.prod(shape)) if keep is None else int(keep.sum())
+                if n:
+                    offsets.append(_Offset(xi, r, src, dst, shape, keep, n))
+
+        self._runs: list[_Run] = []
+        start, held = 0, 0
+        for k, o in enumerate(offsets):
+            held += o.n
+            if held >= _RUN_BONDS or k == len(offsets) - 1:
+                self._runs.append(_Run(offsets[start:k + 1]))
+                start, held = k + 1, 0
+        self._n = sum(run.n for run in self._runs)
 
     def __len__(self) -> int:
-        return len(self.i)
+        return self._n
 
-    def rho_values(self, kernel) -> np.ndarray:
-        key = id(kernel)
-        if key not in self._rho_cache:
-            self._rho_cache[key] = kernel(self.r)
-        return self._rho_cache[key]
+    def _nodes(self, o: _Offset) -> tuple[np.ndarray, np.ndarray]:
+        """Flat node indices of one offset's bond tails and heads."""
+        idx = np.arange(self.grid.n_nodes).reshape(self.grid.n_cells)
+        i, j = idx[o.src].ravel(), idx[o.dst].ravel()
+        return (i, j) if o.keep is None else (i[o.keep], j[o.keep])
+
+    def _offsets(self) -> list[_Offset]:
+        return [o for run in self._runs for o in run.offsets]
+
+    def _pair(self, run: _Run, k: int) -> tuple[int, int]:
+        """The node pair of bond ``k`` of ``run``."""
+        ends = np.cumsum(run.counts)
+        q = int(np.searchsorted(ends, k, side="right"))
+        i, j = self._nodes(run.offsets[q])
+        k -= int(ends[q] - run.counts[q])
+        return int(i[k]), int(j[k])
+
+    @property
+    def i(self) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype=int),
+                               *(self._nodes(o)[0] for o in self._offsets())])
+
+    @property
+    def j(self) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype=int),
+                               *(self._nodes(o)[1] for o in self._offsets())])
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.concatenate([np.empty(0), *(run.per_bond(run.r) for run in self._runs)])
+
+    @property
+    def dir(self) -> np.ndarray:
+        return np.concatenate([np.empty((0, self.grid.dim)),
+                               *(run.per_bond(run.xi / run.r).T for run in self._runs)])
 
 
 def build_pairs(grid: Grid, mask: SubdomainMask | None, radius: float) -> PairSet:
     active = mask.active if mask is not None else np.ones(grid.n_nodes, dtype=bool)
     return PairSet(grid, active, radius)
+
+
+def _bond_runs(pairs: PairSet, values: np.ndarray) -> Iterator[tuple[_Run, np.ndarray, np.ndarray]]:
+    """Per run of offsets: the differences v(x + xi) - v(x) as one contiguous
+    component-major (d, n) block, and the per-bond lengths |xi|, in
+    offset-major, node-minor order.  Component-major keeps every per-bond
+    reduction over components a sum of contiguous rows."""
+    d = values.shape[1]
+    shaped = np.ascontiguousarray(values.T).reshape(d, *pairs.grid.n_cells)
+    for run in pairs._runs:
+        dv = np.empty((d, run.n))
+        for o, seg in run.segments(dv):
+            head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
+            if o.keep is None:
+                np.subtract(head, tail, out=seg.reshape(d, *o.shape))
+            else:
+                seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
+        yield run, dv, run.per_bond(run.r)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Column norms of a component-major (d, n) block."""
+    return np.sqrt(np.einsum("kp,kp->p", a, a))
 
 
 def _mean_h(grid: Grid) -> float:
@@ -122,8 +216,8 @@ def _mean_h(grid: Grid) -> float:
 
 def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
     """Bond stretches t = |v(x_j) - v(x_i)| / |x_j - x_i| over a pair set."""
-    dv = v.values[pairs.j] - v.values[pairs.i]
-    return np.linalg.norm(dv, axis=1) / pairs.r
+    return np.concatenate([np.empty(0),
+                           *(_norm(dv) / r for _, dv, r in _bond_runs(pairs, v.values))])
 
 
 def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -131,13 +225,14 @@ def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     """Localized nonconvex energy: double sum of rho(x-y) Phi(|s_m[v](x,y)|)."""
     if pairs is None:
         pairs = build_pairs(v.grid, A, kernel.support_radius)
-    t = stretches(v, pairs)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("non-finite stretch encountered")
-    rho = pairs.rho_values(kernel)
-    w2 = 2.0 * v.grid.cell_volume**2
-    value = w2 * np.sum(rho * phi(np.abs(strain(m, t))))
-    return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(v.grid))
+    total = 0.0
+    for run, dv, r in _bond_runs(pairs, v.values):
+        t = _norm(dv) / r
+        if not np.all(np.isfinite(t)):
+            raise ValueError("non-finite stretch encountered")
+        total += float(np.sum(run.per_bond(kernel(run.r)) * phi(np.abs(strain(m, t)))))
+    value = 2.0 * v.grid.cell_volume**2 * total
+    return EnergyReport(value, 2 * len(pairs), pairs.n_active, _mean_h(v.grid))
 
 
 def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -152,22 +247,28 @@ def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential
         raise ValueError("profile has Phi'(0+) > 0; use gradient-free experiments")
     if pairs is None:
         pairs = build_pairs(v.grid, A, kernel.support_radius)
-    dv = v.values[pairs.j] - v.values[pairs.i]
-    norm_dv = np.linalg.norm(dv, axis=1)
-    t = norm_dv / pairs.r
-    s = strain(m, t)
-    rho = pairs.rho_values(kernel)
-    w2 = 2.0 * v.grid.cell_volume**2
-    # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1)
-    coeff = w2 * rho * phi.d(np.abs(s)) * np.sign(s) * t ** (m - 1.0)
-    safe = norm_dv > 0
-    scale = np.zeros_like(norm_dv)
-    scale[safe] = coeff[safe] / (norm_dv[safe] * pairs.r[safe])
-    pair_grad = scale[:, None] * dv
-    out = np.zeros_like(v.values)
-    np.add.at(out, pairs.j, pair_grad)
-    np.add.at(out, pairs.i, -pair_grad)
-    return VectorField(v.grid, out)
+    g = v.grid
+    w2 = 2.0 * g.cell_volume**2
+    out = np.zeros((g.dim, *g.n_cells))
+    for run, dv, r in _bond_runs(pairs, v.values):
+        norm_dv = _norm(dv)
+        t = norm_dv / r
+        s = strain(m, t)
+        # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1)
+        coeff = w2 * run.per_bond(kernel(run.r)) * phi.d(np.abs(s)) * np.sign(s) * t ** (m - 1.0)
+        safe = norm_dv > 0
+        scale = np.zeros_like(norm_dv)
+        scale[safe] = coeff[safe] / (norm_dv[safe] * r[safe])
+        dv *= scale
+        for o, seg in run.segments(dv):
+            if o.keep is None:
+                block = seg.reshape(g.dim, *o.shape)
+            else:
+                block = np.zeros((g.dim, *o.shape))
+                block.reshape(g.dim, -1)[:, o.keep] = seg
+            out[(_ALL, *o.dst)] += block
+            out[(_ALL, *o.src)] -= block
+    return VectorField(g, out.reshape(g.dim, g.n_nodes).T)
 
 
 def _load_term(u: VectorField, l: VectorField | None) -> float:
@@ -183,32 +284,33 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
 
     Value is eps^-2 times the double sum of w(y-x, s_m[x + eps u]) minus the
     load term.  A bond whose deformed length vanishes puts the strain on the
-    boundary of its domain and raises :class:`StrainDomainError`.
+    boundary of its domain and raises :class:`StrainDomainError`; its ``pair``
+    is the first such bond in offset-major, node-minor order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     g = u.grid
     if pairs is None:
         pairs = build_pairs(g, None, support_radius)
-    delta = pairs.dir * pairs.r[:, None] + eps * (u.values[pairs.j] - u.values[pairs.i])
-    t = np.linalg.norm(delta, axis=1) / pairs.r
-    bad = t <= 0
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise StrainDomainError(
-            f"bond stretch vanished for node pair ({pairs.i[k]}, {pairs.j[k]})",
-            pair=(int(pairs.i[k]), int(pairs.j[k])))
-    s = strain(m, t)
-    w2 = 2.0 * g.cell_volume**2
-    double = w2 * np.sum(w(pairs.r, s))
-    value = double / eps**2 - _load_term(u, l)
+    total = 0.0
+    for run, delta, r in _bond_runs(pairs, u.values):
+        delta *= eps
+        delta += run.per_bond(run.xi)
+        t = _norm(delta) / r
+        bad = t <= 0
+        if np.any(bad):
+            i, j = pairs._pair(run, int(np.argmax(bad)))
+            raise StrainDomainError(f"bond stretch vanished for node pair ({i}, {j})",
+                                    pair=(i, j))
+        total += float(np.sum(w(r, strain(m, t))))
+    value = 2.0 * g.cell_volume**2 * total / eps**2 - _load_term(u, l)
     return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(g))
 
 
-def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
-              l: VectorField | None = None, support_radius: float | None = None,
-              pairs: PairSet | None = None) -> EnergyReport:
-    """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
+def _linearized_sum(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
+                    support_radius: float | None,
+                    pairs: PairSet | None) -> tuple[float, PairSet]:
+    """Double sum of rho(|xi|) ((u(x + xi) - u(x)) . xi / |xi|^2)^2 and its pairs."""
     g = u.grid
     if pairs is None:
         if support_radius is None:
@@ -216,11 +318,20 @@ def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
             if support_radius is None:
                 raise ValueError("support_radius required for a bare profile")
         pairs = build_pairs(g, None, support_radius)
-    du_dot = np.einsum("pk,pk->p", u.values[pairs.j] - u.values[pairs.i], pairs.dir) / pairs.r
-    rho_vals = pairs.rho_values(rho) if isinstance(rho, Kernel) else rho(pairs.r)
-    w2 = 2.0 * g.cell_volume**2
-    value = 0.5 * w2 * np.sum(rho_vals * du_dot**2) - _load_term(u, l)
-    return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(g))
+    total = 0.0
+    for run, du, r in _bond_runs(pairs, u.values):
+        du_dot = np.einsum("kp,kp->p", du, run.per_bond(run.xi)) / r**2
+        total += float(np.sum(run.per_bond(rho(run.r)) * du_dot**2))
+    return 2.0 * g.cell_volume**2 * total, pairs
+
+
+def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
+              l: VectorField | None = None, support_radius: float | None = None,
+              pairs: PairSet | None = None) -> EnergyReport:
+    """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
+    double, pairs = _linearized_sum(u, rho, support_radius, pairs)
+    value = 0.5 * double - _load_term(u, l)
+    return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(u.grid))
 
 
 def seminorm_W(v: VectorField, kernel: Kernel, p: float,
@@ -228,22 +339,14 @@ def seminorm_W(v: VectorField, kernel: Kernel, p: float,
     """p-th power of the nonlocal seminorm: double sum of rho |v(x)-v(y)|^p / |x-y|^p."""
     if pairs is None:
         pairs = build_pairs(v.grid, A or full_mask(v.grid), kernel.support_radius)
-    t = stretches(v, pairs)
-    rho = pairs.rho_values(kernel)
-    return float(2.0 * v.grid.cell_volume**2 * np.sum(rho * t**p))
+    total = 0.0
+    for run, dv, r in _bond_runs(pairs, v.values):
+        total += float(np.sum(run.per_bond(kernel(run.r)) * (_norm(dv) / r)**p))
+    return float(2.0 * v.grid.cell_volume**2 * total)
 
 
 def seminorm_Xrho(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
                   support_radius: float | None = None,
                   pairs: PairSet | None = None) -> float:
     """Squared seminorm of the linearized space: double sum of rho (Du . Di)^2."""
-    g = u.grid
-    if pairs is None:
-        if support_radius is None:
-            support_radius = getattr(rho, "support_radius", None)
-            if support_radius is None:
-                raise ValueError("support_radius required for a bare profile")
-        pairs = build_pairs(g, None, support_radius)
-    du_dot = np.einsum("pk,pk->p", u.values[pairs.j] - u.values[pairs.i], pairs.dir) / pairs.r
-    rho_vals = pairs.rho_values(rho) if isinstance(rho, Kernel) else rho(pairs.r)
-    return float(2.0 * g.cell_volume**2 * np.sum(rho_vals * du_dot**2))
+    return float(_linearized_sum(u, rho, support_radius, pairs)[0])

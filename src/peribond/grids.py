@@ -66,12 +66,17 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def nearest_node(self, x) -> int:
-        """Flat index of the node closest to point ``x``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = np.floor((x - np.asarray(self.origin)) / self.h).astype(int)
+    def nearest_node(self, x) -> int | np.ndarray:
+        """Flat index of the node closest to point ``x``.
+
+        An (N, d) stack of points gives an array of N indices.
+        """
+        x = np.asarray(x, dtype=float)
+        points = x.reshape(-1, self.dim)
+        idx = np.floor((points - np.asarray(self.origin)) / self.h).astype(int)
         idx = np.clip(idx, 0, np.asarray(self.n_cells) - 1)
-        return int(np.ravel_multi_index(tuple(idx), self.n_cells))
+        flat = np.ravel_multi_index(tuple(idx.T), self.n_cells)
+        return int(flat[0]) if x.ndim <= 1 else flat
 
 
 def unit_interval_grid(n_cells: int) -> Grid:

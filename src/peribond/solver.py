@@ -325,7 +325,7 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
         if prev is not None:
             fine, coarse = (vstar, prev) if vstar.grid.n_nodes >= prev.grid.n_nodes else (prev, vstar)
             xf = fine.grid.nodes()
-            inj = np.stack([coarse.values[coarse.grid.nearest_node(p)] for p in xf])
+            inj = coarse.values[coarse.grid.nearest_node(xf)]
             diff = np.linalg.norm(fine.values - inj, axis=1)
             dist = float((fine.grid.cell_volume * np.sum(diff**lp)) ** (1.0 / lp))
 

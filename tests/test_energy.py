@@ -7,9 +7,10 @@ import pytest
 from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
                              energy_E_eps, energy_Fn, gradient_Fn, seminorm_W,
                              seminorm_Xrho, stretches)
-from peribond.grids import (VectorField, affine_field, box_grid,
-                            field_from_function, full_mask, unit_interval_grid)
-from peribond.kernels import box_kernel, make_rescaled
+from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
+                            box_subdomain, field_from_function, full_mask,
+                            unit_interval_grid)
+from peribond.kernels import box_kernel, custom_radial, make_rescaled
 from peribond.materials import catalog_potential, power_potential, strain
 
 
@@ -40,6 +41,130 @@ def brute_force_energy(v, kernel, phi, m):
             t = np.linalg.norm(v.values[j] - v.values[i]) / r
             total += rho * phi(abs(strain(m, t)))
     return total * g.cell_volume**2
+
+
+class PerPairReference:
+    """Per-pair gather formulas over :func:`brute_force_pairs`: one row per
+    bond in offset-major, node-minor order, gathered by index arrays and
+    scattered with ``np.add.at``."""
+
+    def __init__(self, grid, active, radius):
+        multi = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.n_cells), axis=-1)
+        bonds = sorted(((i, j) for i, j in brute_force_pairs(grid, radius)
+                        if active[i] and active[j]),
+                       key=lambda b: (tuple(multi[b[1]] - multi[b[0]]), b[0]))
+        self.grid = grid
+        self.i = np.array([b[0] for b in bonds], dtype=int)
+        self.j = np.array([b[1] for b in bonds], dtype=int)
+        xi = (multi[self.j] - multi[self.i]) * grid.h
+        self.r = np.linalg.norm(xi, axis=1)
+        self.dir = xi / self.r[:, None]
+        self.w2 = 2.0 * grid.cell_volume**2
+
+    def diff(self, v):
+        return v.values[self.j] - v.values[self.i]
+
+    def stretches(self, v):
+        return np.linalg.norm(self.diff(v), axis=1) / self.r
+
+    def energy_Fn(self, v, kernel, phi, m):
+        t = self.stretches(v)
+        return self.w2 * np.sum(kernel(self.r) * phi(np.abs(strain(m, t))))
+
+    def gradient_Fn(self, v, kernel, phi, m):
+        dv = self.diff(v)
+        norm_dv = np.linalg.norm(dv, axis=1)
+        t = norm_dv / self.r
+        s = strain(m, t)
+        coeff = self.w2 * kernel(self.r) * phi.d(np.abs(s)) * np.sign(s) * t ** (m - 1.0)
+        safe = norm_dv > 0
+        scale = np.zeros_like(norm_dv)
+        scale[safe] = coeff[safe] / (norm_dv[safe] * self.r[safe])
+        out = np.zeros_like(v.values)
+        np.add.at(out, self.j, scale[:, None] * dv)
+        np.add.at(out, self.i, -scale[:, None] * dv)
+        return out
+
+    def energy_E_eps(self, u, w, m, eps):
+        delta = self.dir * self.r[:, None] + eps * self.diff(u)
+        t = np.linalg.norm(delta, axis=1) / self.r
+        return self.w2 * np.sum(w(self.r, strain(m, t))) / eps**2
+
+    def seminorm_Xrho(self, u, rho):
+        du_dot = np.einsum("pk,pk->p", self.diff(u), self.dir) / self.r
+        return self.w2 * np.sum(rho(self.r) * du_dot**2)
+
+    def seminorm_W(self, v, kernel, p):
+        return self.w2 * np.sum(kernel(self.r) * self.stretches(v)**p)
+
+
+class TestStencilEquivalence:
+    """Every bond sum against the per-pair reference, to 1e-13 relative
+    (gradients: max |difference| / max |reference|)."""
+
+    TOL = 1e-13
+    SIZES = {1: (24, 3.5 / 24), 2: (10, 0.25), 3: (6, 0.4)}
+
+    @staticmethod
+    def _mask(g, kind, radius):
+        x = g.nodes()
+        if kind == "full":
+            return full_mask(g), radius
+        if kind == "box":
+            return box_subdomain(g, 1.5 * g.h[0], collar_width=radius), radius
+        if kind == "notched":  # an L-shape in 2D/3D, two intervals in 1D
+            cut = (x[:, 0] > 0.4) & (x[:, 0] < 0.6) if g.dim == 1 else \
+                (x[:, 0] > 0.5) & (x[:, -1] > 0.5)
+            return SubdomainMask(g, ~cut), radius
+        return full_mask(g), 0.9 * g.h[0]  # no bonds at all
+
+    def _close(self, got, ref):
+        assert abs(got - ref) <= self.TOL * abs(ref)
+
+    @pytest.mark.parametrize("kind", ["full", "box", "notched", "no_bonds"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_pair_reference(self, d, kind):
+        n, radius = self.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        mask, radius = self._mask(g, kind, radius)
+        pairs = build_pairs(g, mask, radius)
+        ref = PerPairReference(g, mask.active, radius)
+        assert len(pairs) == len(ref.i)
+        assert (len(pairs) == 0) == (kind == "no_bonds")
+        if kind == "notched":
+            assert any(o.keep is not None for run in pairs._runs for o in run.offsets)
+        rng = np.random.default_rng(40 + d)
+        x = g.nodes()
+        F = np.eye(d) + 0.2 * rng.uniform(-1.0, 1.0, (d, d))
+        v = VectorField(g, x @ F.T + 0.05 * rng.standard_normal(x.shape))
+        u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
+        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
+
+        t = stretches(v, pairs)
+        t_ref = ref.stretches(v)
+        assert t.shape == t_ref.shape
+        assert np.all(np.abs(t - t_ref) <= self.TOL * t_ref)
+        for m in (1.0, 2.0):
+            for p in (1.5, 2.0, 3.0):
+                phi = power_potential(p)
+                self._close(energy_Fn(v, mask, kernel, phi, m, pairs=pairs).value,
+                            ref.energy_Fn(v, kernel, phi, m))
+                g_new = gradient_Fn(v, mask, kernel, phi, m, pairs=pairs).values
+                g_ref = ref.gradient_Fn(v, kernel, phi, m)
+                assert np.max(np.abs(g_new - g_ref)) <= self.TOL * np.max(np.abs(g_ref))
+            for tag in ("quartic", "cohesive"):
+                w = catalog_potential(tag)
+                self._close(energy_E_eps(u, w, m, 0.05, pairs=pairs).value,
+                            ref.energy_E_eps(u, w, m, 0.05))
+        for p in (1.5, 2.0, 3.0):
+            self._close(seminorm_W(v, kernel, p, pairs=pairs), ref.seminorm_W(v, kernel, p))
+        def bare(r):
+            return np.exp(-r / radius)
+
+        for rho in (kernel, bare):
+            xr = ref.seminorm_Xrho(u, rho)
+            self._close(seminorm_Xrho(u, rho, pairs=pairs), xr)
+            self._close(energy_E0(u, rho, pairs=pairs).value, 0.5 * xr)
 
 
 class TestPairSet:
@@ -165,6 +290,26 @@ class TestGradient:
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
 
+class TestKernelReuse:
+    def test_reused_pairs_follow_each_fresh_kernel(self):
+        # one pair set, fifty kernels built and dropped in turn: a value
+        # cached per kernel object would be handed to a later kernel that
+        # reuses the freed object's identity
+        g = unit_interval_grid(200)
+        mask = full_mask(g)
+        pairs = build_pairs(g, mask, 0.3)
+        v = field_from_function(g, lambda x: 1.3 * x**2)
+        phi = power_potential(2.0)
+        stale = []
+        for delta in np.linspace(0.100, 0.296, 50):
+            kernel = make_rescaled(box_kernel(1), delta)
+            got = energy_Fn(v, mask, kernel, phi, 1.0, pairs=pairs).value
+            fresh = energy_Fn(v, mask, kernel, phi, 1.0, pairs=build_pairs(g, mask, 0.3)).value
+            if got != fresh:
+                stale.append(round(float(delta), 3))
+        assert stale == []
+
+
 class TestEEps:
     def test_quadratic_1d_exact(self):
         # quadratic Psi and collinear geometry: E_eps = E_0 identically
@@ -186,6 +331,25 @@ class TestEEps:
         w = catalog_potential("quartic")
         with pytest.raises(StrainDomainError):
             energy_E_eps(u, w, 1.0, 1.0, support_radius=0.2)
+
+    def test_strain_domain_error_names_first_vanishing_bond(self):
+        # two bonds collapse at eps = 1/2: (45, 46) along offset (0, 1) and
+        # (9, 17) along the later offset (1, 0); h = 1/8 keeps it exact
+        g = box_grid(2, 0.0, 1.0, 8)
+        eps = 0.5
+        vals = np.zeros((g.n_nodes, 2))
+        vals[46] = [0.0, -0.125 / eps]
+        vals[17] = [-0.125 / eps, 0.0]
+        u = VectorField(g, vals)
+        w = catalog_potential("quartic")
+        with pytest.raises(StrainDomainError) as info:
+            energy_E_eps(u, w, 1.0, eps, support_radius=0.3)
+        assert info.value.pair == (45, 46)
+        deformed = g.nodes() + eps * vals
+        np.testing.assert_array_equal(deformed[45], deformed[46])
+        ref = PerPairReference(g, np.ones(g.n_nodes, dtype=bool), 0.3)
+        dead = np.flatnonzero(np.all(deformed[ref.j] == deformed[ref.i], axis=1))
+        assert [(ref.i[k], ref.j[k]) for k in dead] == [(45, 46), (9, 17)]
 
     def test_load_term(self):
         g = unit_interval_grid(50)

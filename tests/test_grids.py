@@ -35,6 +35,14 @@ class TestGrid:
         for k in (0, 13, 63):
             assert g.nearest_node(x[k]) == k
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nearest_node_stack_matches_points(self, dim):
+        g = box_grid(dim, -1.0, 1.0, 6)
+        pts = np.random.default_rng(dim).uniform(-1.3, 1.3, (40, dim))
+        got = g.nearest_node(pts)
+        assert isinstance(got, np.ndarray) and got.shape == (40,)
+        assert got.tolist() == [g.nearest_node(p) for p in pts]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(4, (0.0,) * 4, (1.0,) * 4, (4,) * 4)
