@@ -18,8 +18,8 @@ from .materials import (CATALOG_TAGS, MicroPotential, Potential,
                         power_potential, quartic_potential, rescaled_micro_energy,
                         strain, strain_taylor, tabulated_potential)
 from .energy import (EnergyReport, PairSet, StrainDomainError, build_pairs,
-                     energy_E0, energy_E_eps, energy_Fn, gradient_Fn,
-                     seminorm_W, seminorm_Xrho, stretches)
+                     energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
+                     gradient_Fn, seminorm_W, seminorm_Xrho, stretches)
 from .density import (DensityBounds, LaminateSearch, closed_form_tilde_2d,
                       compute_bounds, coercivity_check, density_laminate_upper,
                       density_lower, density_lower_batch, density_tilde,

@@ -202,7 +202,7 @@ def _run_minimize(cfg: ScenarioConfig, threads: int):
     rows = [[i, e] for i, e in enumerate(res.energy_trace)]
     summary = {"energy": float(res.energy_trace[-1]), "affine_energy": affine,
                "iterations": res.iterations, "converged": bool(res.converged),
-               "grad_norm": res.grad_norm}
+               "stop_reason": res.stop_reason, "grad_norm": res.grad_norm}
     contracts = {"descent": bool(np.all(np.diff(res.energy_trace) <= 1e-12)),
                  "no_worse_than_datum": res.energy_trace[-1] <= affine + 1e-12}
     return "minimize.csv", ["iteration", "energy"], rows, summary, contracts
@@ -220,10 +220,12 @@ def _run_linearize(cfg: ScenarioConfig, threads: int):
     else:
         u = field_from_function(grid, lambda x: np.sin(np.pi * x))
     tab = linearization_experiment(u, w, m, blk["eps"], support_radius=radius)
-    rows = [[r.eps, r.E_eps, tab.E0, r.abs_err] for r in tab.rows if not r.flagged]
+    # flagged rows (a bond left the strain domain) stay, with NaN values
+    rows = [[r.eps, r.E_eps, tab.E0, r.abs_err, r.flagged] for r in tab.rows]
     contracts = {"rate_in_window": tab.slope is not None and 0.8 <= tab.slope <= 1.3}
     summary = {"E0": tab.E0, "slope": tab.slope}
-    return "linearize.csv", ["eps", "E_eps", "E0", "abs_err"], rows, summary, contracts
+    cols = ["eps", "E_eps", "E0", "abs_err", "flagged"]
+    return "linearize.csv", cols, rows, summary, contracts
 
 
 def _run_localize(cfg: ScenarioConfig, threads: int):

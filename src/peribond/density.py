@@ -137,12 +137,17 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
     if F.shape != (2, 2):
         raise ValueError("laminate search supports d = 2 only")
     F = np.diag(np.linalg.svd(F, compute_uv=False))
+    return _laminate_upper(F, phi, m, q, search, density_lower(F, phi, m, q),
+                           density_tilde(F, phi, m, q))
+
+
+def _laminate_upper(F: np.ndarray, phi: Potential, m: float, q: SphereQuadrature,
+                    search: LaminateSearch | None, lower_F: float,
+                    tilde_F: float) -> float:
+    """The laminate search at F = diag(sigma), capped by ``tilde_F`` and
+    checked against ``lower_F``, the two averages at the same matrix."""
     if search is None:
         search = LaminateSearch()
-
-    tilde_F = density_tilde(F, phi, m, q)
-    lower_F = density_lower(F, phi, m, q)
-
     lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
     mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
     angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
@@ -215,7 +220,9 @@ def compute_bounds(F, phi: Potential, m: float, order: int = 256,
     lower = density_lower(F, phi, m, q)
     tilde = density_tilde(F, phi, m, q)
     if with_laminate and d == 2:
-        lam = density_laminate_upper(F, phi, m, q, search)
+        # the averages at F equal those at diag(sigma(F)) up to rounding
+        lam = _laminate_upper(np.diag(singular_values(F)), phi, m, q, search,
+                              lower, tilde)
     else:
         lam = tilde
     return DensityBounds(F, lower, tilde, lam, phi.p, m, order)

@@ -220,46 +220,46 @@ def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
                            *(_norm(dv) / r for _, dv, r in _bond_runs(pairs, v.values))])
 
 
-def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
-              m: float = 1.0, pairs: PairSet | None = None) -> EnergyReport:
-    """Localized nonconvex energy: double sum of rho(x-y) Phi(|s_m[v](x,y)|)."""
-    if pairs is None:
-        pairs = build_pairs(v.grid, A, kernel.support_radius)
-    total = 0.0
-    for run, dv, r in _bond_runs(pairs, v.values):
-        t = _norm(dv) / r
-        if not np.all(np.isfinite(t)):
-            raise ValueError("non-finite stretch encountered")
-        total += float(np.sum(run.per_bond(kernel(run.r)) * phi(np.abs(strain(m, t)))))
-    value = 2.0 * v.grid.cell_volume**2 * total
-    return EnergyReport(value, 2 * len(pairs), pairs.n_active, _mean_h(v.grid))
+def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
+             m: float, pairs: PairSet | None, energy: bool = True,
+             gradient: bool = True) -> tuple[EnergyReport | None, VectorField | None]:
+    """One pass over the bonds of F_n: the energy and its nodal gradient.
 
-
-def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
-                m: float = 1.0, pairs: PairSet | None = None) -> VectorField:
-    """Analytic nodal gradient of :func:`energy_Fn`.
-
-    Pairs with coincident deformed positions get a zero contribution: the
-    stretch direction is undefined there and, for smooth-at-zero profiles,
-    the true subgradient contains 0.
+    Stretches, strains and kernel weights are formed once per run and feed
+    both the Phi sum and the gradient scatter; either can be left out.
+    Pairs with coincident deformed positions get a zero gradient
+    contribution: the stretch direction is undefined there and, for
+    smooth-at-zero profiles, the true subgradient contains 0.
     """
-    if not phi.smooth_at_zero:
+    if gradient and not phi.smooth_at_zero:
         raise ValueError("profile has Phi'(0+) > 0; use gradient-free experiments")
-    if pairs is None:
-        pairs = build_pairs(v.grid, A, kernel.support_radius)
     g = v.grid
+    if pairs is None:
+        pairs = build_pairs(g, A, kernel.support_radius)
     w2 = 2.0 * g.cell_volume**2
-    out = np.zeros((g.dim, *g.n_cells))
+    total = 0.0
+    out = np.zeros((g.dim, *g.n_cells)) if gradient else None
     for run, dv, r in _bond_runs(pairs, v.values):
         norm_dv = _norm(dv)
         t = norm_dv / r
+        if not np.all(np.isfinite(t)):
+            raise ValueError("non-finite stretch encountered")
         s = strain(m, t)
-        # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1)
-        coeff = w2 * run.per_bond(kernel(run.r)) * phi.d(np.abs(s)) * np.sign(s) * t ** (m - 1.0)
-        safe = norm_dv > 0
-        scale = np.zeros_like(norm_dv)
-        scale[safe] = coeff[safe] / (norm_dv[safe] * r[safe])
-        dv *= scale
+        sign = np.sign(s) if gradient else None
+        a = np.abs(s, out=s)  # only the sign of s is used after this
+        rho = run.per_bond(kernel(run.r))
+        if energy:
+            total += float(np.sum(rho * phi(a)))
+        if not gradient:
+            continue
+        # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place: each
+        # per-bond temporary held across a run raises peak memory
+        coeff = w2 * rho
+        coeff *= phi.d(a)
+        coeff *= sign
+        if m != 1:
+            coeff *= t ** (m - 1.0)
+        dv *= np.divide(coeff, norm_dv * r, out=np.zeros_like(norm_dv), where=norm_dv > 0)
         for o, seg in run.segments(dv):
             if o.keep is None:
                 block = seg.reshape(g.dim, *o.shape)
@@ -268,7 +268,30 @@ def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential
                 block.reshape(g.dim, -1)[:, o.keep] = seg
             out[(_ALL, *o.dst)] += block
             out[(_ALL, *o.src)] -= block
-    return VectorField(g, out.reshape(g.dim, g.n_nodes).T)
+    grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
+    if not energy:
+        return None, grad
+    return EnergyReport(w2 * total, 2 * len(pairs), pairs.n_active, _mean_h(g)), grad
+
+
+def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
+              m: float = 1.0, pairs: PairSet | None = None) -> EnergyReport:
+    """Localized nonconvex energy: double sum of rho(x-y) Phi(|s_m[v](x,y)|)."""
+    return _Fn_pass(v, A, kernel, phi, m, pairs, gradient=False)[0]
+
+
+def gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
+                m: float = 1.0, pairs: PairSet | None = None) -> VectorField:
+    """Analytic nodal gradient of :func:`energy_Fn`."""
+    return _Fn_pass(v, A, kernel, phi, m, pairs, energy=False)[1]
+
+
+def energy_gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
+                       m: float = 1.0, pairs: PairSet | None = None
+                       ) -> tuple[EnergyReport, VectorField]:
+    """:func:`energy_Fn` and :func:`gradient_Fn` from one pass over the bonds,
+    each bit-identical to the separate call."""
+    return _Fn_pass(v, A, kernel, phi, m, pairs)
 
 
 def _load_term(u: VectorField, l: VectorField | None) -> float:

@@ -24,7 +24,7 @@ def strain(m: float, t) -> np.ndarray | float:
     if m < 1:
         raise ValueError("strain order m must be >= 1")
     t = np.asarray(t, dtype=float)
-    out = (t**m - 1.0) / m
+    out = t - 1.0 if m == 1 else (t**m - 1.0) / m  # t**1.0 / 1.0 is t exactly
     return float(out) if out.ndim == 0 else out
 
 

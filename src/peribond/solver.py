@@ -18,7 +18,7 @@ import numpy as np
 from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
 from .energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
-                     energy_E_eps, energy_Fn, gradient_Fn)
+                     energy_E_eps, energy_gradient_Fn)
 from .grids import (Grid, SubdomainMask, VectorField, box_grid, full_mask,
                     sphere_quadrature)
 from .kernels import Kernel, KernelSequence, derived_interaction_kernel
@@ -71,6 +71,7 @@ class MinimizeResult:
     grad_norm: float
     iterations: int
     converged: bool
+    stop_reason: str  # "converged", "line_search_failed" or "max_iters"
 
 
 class _TwoLoop:
@@ -112,8 +113,11 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     """Projected descent on the nonlocal energy with an exact collar constraint.
 
     Iterates are feasible at every step (collar nodes are bit-identical to
-    the datum); the energy trace is strictly decreasing until the projected
-    gradient falls below tolerance.
+    the datum) and the energy trace does not increase.  Each line-search
+    trial takes its energy and gradient from one bond pass, and the accepted
+    trial's gradient drives the next step.  ``stop_reason`` says why the
+    descent ended: the gradient tolerance was met, no trial step lowered the
+    energy (or every step rounded away), or ``max_iters`` ran out.
     """
     if not prob.phi.smooth_at_zero:
         raise ValueError("minimization requires a profile differentiable at 0")
@@ -127,21 +131,18 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     vals = (v0.values if v0 is not None else prob.g.values).copy()
     vals[~free] = prob.g.values[~free]
 
-    def energy(a: np.ndarray) -> float:
-        return energy_Fn(VectorField(grid, a), prob.mask, prob.kernel,
-                         prob.phi, prob.m, pairs=pairs).value
-
-    def grad(a: np.ndarray) -> np.ndarray:
-        g = gradient_Fn(VectorField(grid, a), prob.mask, prob.kernel,
-                        prob.phi, prob.m, pairs=pairs).values.copy()
+    def energy_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
+        rep, g = energy_gradient_Fn(VectorField(grid, a), prob.mask, prob.kernel,
+                                    prob.phi, prob.m, pairs=pairs)
+        g = g.values.copy()
         g[~free] = 0.0
-        return g
+        return rep.value, g
 
-    e = energy(vals)
-    gr = grad(vals)
+    e, gr = energy_grad(vals)
     trace = [e]
     qn = _TwoLoop(st.memory) if st.use_quasi_newton else None
     converged = float(np.max(np.abs(gr))) <= tol
+    stop_reason = "max_iters"
     it = 0
     while not converged and it < st.max_iters:
         it += 1
@@ -155,21 +156,25 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
         for _ in range(60):
             cand = vals + t * d
             cand[~free] = prob.g.values[~free]
-            e_new = energy(cand)
+            if np.array_equal(cand, vals):
+                break  # the step rounds away, and so will every shorter one
+            e_new, gr_new = energy_grad(cand)
             if np.isfinite(e_new) and e_new <= e + st.armijo_slope * t * slope:
                 accepted = True
                 break
             t *= st.armijo_shrink
         if not accepted:
+            stop_reason = "line_search_failed"
             break
-        gr_new = grad(cand)
         if qn:
             qn.push((cand - vals).ravel(), (gr_new - gr).ravel())
         vals, e, gr = cand, e_new, gr_new
         trace.append(e)
         converged = float(np.max(np.abs(gr))) <= tol
+    if converged:
+        stop_reason = "converged"
     return MinimizeResult(VectorField(grid, vals), np.asarray(trace),
-                          float(np.max(np.abs(gr))), it, converged)
+                          float(np.max(np.abs(gr))), it, converged, stop_reason)
 
 
 def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:

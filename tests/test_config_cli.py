@@ -130,6 +130,41 @@ class TestArtifacts:
         assert lines[0].split(",")[0] == "N"
         assert len(lines) == 2
 
+    def test_flagged_linearization_row_kept(self, tmp_path, capsys):
+        # u = x^2 at eps = 1 maps the nodes x and -1 - x of [-1, 0] onto one
+        # point, so the first row leaves the strain domain
+        cfg = write(tmp_path, "c.json", {
+            "experiment": "linearize", "seed": 0,
+            "domain": {"dim": 1, "lo": -1.0, "hi": 0.0, "n_cells": 16},
+            "micropotential": {"tag": "quartic"},
+            "linearize": {"eps": [1.0, 0.1, 0.05, 0.025], "support_radius": 0.25}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "linearize.csv").read_text().strip().splitlines()
+        assert lines[0] == "eps,E_eps,E0,abs_err,flagged"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == ["1", "0.10000000000000001",
+                                        "0.050000000000000003", "0.025000000000000001"]
+        assert rows[0][1] == rows[0][3] == "nan" and rows[0][4] == "true"
+        assert all(r[4] == "false" and r[1] != "nan" for r in rows[1:])
+
+    def test_minimize_reports_stop_reason(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {
+            "experiment": "minimize", "seed": 0,
+            "domain": {"dim": 1, "lo": 0.0, "hi": 1.0, "n_cells": 32, "collar": 0.15},
+            "kernel": {"family": "box", "delta": 0.1},
+            "potential": {"profile": "power", "p": 2.0},
+            "minimize": {"datum": [0.5]}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        # the winning start relaxes the compressed datum
+        assert summary["stop_reason"] == "converged"
+        assert summary["converged"] is True
+        assert summary["iterations"] > 0
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", GOOD_CHECKS)
         out = tmp_path / "out"

@@ -226,6 +226,23 @@ class TestLaminateUpper:
             density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2, s)
 
 
+    def test_compute_bounds_evaluates_each_average_once(self, monkeypatch):
+        # the laminate search takes compute_bounds' own lower and tilde
+        calls = {"density_lower": 0, "density_tilde": 0}
+        for name, fn in [(n, getattr(peribond.density, n)) for n in calls]:
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(peribond.density, name, counted)
+        F = rot(0.3) @ np.diag([1.5, 0.25]) @ rot(-1.1)
+        s = LaminateSearch(n_lambda=5, n_mag=4, n_angle=8, refine_rounds=1)
+        b = compute_bounds(F, PHI2, 2.0, order=64, search=s)
+        assert calls == {"density_lower": 1, "density_tilde": 1}
+        assert b.lower <= b.laminate_upper <= b.tilde
+        alone = density_laminate_upper(F, PHI2, 2.0, sphere_quadrature(2, 64), s)
+        assert b.laminate_upper == pytest.approx(alone, rel=1e-14)
+
+
 class TestCoercivity:
     def test_fitted_constant_holds_on_fresh_sample(self):
         rng = np.random.default_rng(99)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
-                             energy_E_eps, energy_Fn, gradient_Fn, seminorm_W,
-                             seminorm_Xrho, stretches)
+                             energy_E_eps, energy_Fn, energy_gradient_Fn,
+                             gradient_Fn, seminorm_W, seminorm_Xrho, stretches)
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask,
                             unit_interval_grid)
 from peribond.kernels import box_kernel, custom_radial, make_rescaled
-from peribond.materials import catalog_potential, power_potential, strain
+from peribond.materials import (catalog_potential, huber_power, power_potential,
+                                strain, tabulated_potential)
 
 
 def brute_force_pairs(grid, radius):
@@ -165,6 +166,53 @@ class TestStencilEquivalence:
             xr = ref.seminorm_Xrho(u, rho)
             self._close(seminorm_Xrho(u, rho, pairs=pairs), xr)
             self._close(energy_E0(u, rho, pairs=pairs).value, 0.5 * xr)
+
+
+class TestFusedPass:
+    """energy_gradient_Fn returns exactly what energy_Fn and gradient_Fn do."""
+
+    _a = np.linspace(0.0, 4.0, 17)
+    PHIS = {"power": power_potential(2.5),
+            "huber": huber_power(2.0, 0.3),
+            "tabulated": tabulated_potential(_a, np.maximum(_a - 0.25, 0.0)**2,
+                                             p=2.0, C0=0.5, C1=2.0)}
+
+    @pytest.mark.parametrize("phi", sorted(PHIS))
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("kind", ["full", "box", "notched"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_separate_calls(self, d, kind, m, phi):
+        phi = self.PHIS[phi]
+        assert phi.smooth_at_zero
+        n, radius = TestStencilEquivalence.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        mask, radius = TestStencilEquivalence._mask(g, kind, radius)
+        pairs = build_pairs(g, mask, radius)
+        rng = np.random.default_rng(60 + d)
+        x = g.nodes()
+        F = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))
+        vals = x @ F.T + 0.05 * rng.standard_normal(x.shape)
+        i, j = pairs.i[0], pairs.j[0]
+        vals[j] = vals[i]  # one bond with coincident deformed ends
+        v = VectorField(g, vals)
+        assert stretches(v, pairs)[0] == 0.0
+        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
+
+        rep, grad = energy_gradient_Fn(v, mask, kernel, phi, m, pairs=pairs)
+        assert rep == energy_Fn(v, mask, kernel, phi, m, pairs=pairs)
+        sep = gradient_Fn(v, mask, kernel, phi, m, pairs=pairs).values
+        assert np.all(np.isfinite(sep))
+        np.testing.assert_array_equal(grad.values, sep)
+
+    def test_rejects_nonsmooth_profile_but_energy_runs(self):
+        g = unit_interval_grid(8)
+        a = np.linspace(0.0, 2.0, 10)
+        phi = tabulated_potential(a, a.copy(), p=2.0, C0=0.0, C1=1.0)
+        v = affine_field(g, np.array([[1.5]]))
+        kernel = make_rescaled(box_kernel(1), 0.25)
+        assert energy_Fn(v, full_mask(g), kernel, phi).value > 0.0
+        with pytest.raises(ValueError):
+            energy_gradient_Fn(v, full_mask(g), kernel, phi)
 
 
 class TestPairSet:

@@ -17,6 +17,11 @@ class TestStrain:
         np.testing.assert_allclose(strain(1.0, np.array([0.5, 1.0, 2.0])),
                                    [-0.5, 0.0, 1.0])
 
+    def test_m1_shortcut_matches_general_formula(self):
+        t = np.concatenate([[0.0, 1.0, 1e-300, 1e300],
+                            np.random.default_rng(3).uniform(0.0, 5.0, 1000)])
+        np.testing.assert_array_equal(strain(1.0, t), (t**1.0 - 1.0) / 1.0)
+
     def test_m2_quadratic(self):
         np.testing.assert_allclose(strain(2.0, np.array([1.0, 2.0])), [0.0, 1.5])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from peribond.constructions import laminate_profile
-from peribond.energy import energy_Fn
+from peribond.energy import energy_Fn, gradient_Fn
 from peribond.grids import (VectorField, affine_field, box_grid,
                             field_from_function, full_mask,
                             unit_interval_grid)
@@ -49,6 +49,7 @@ class TestMinimize:
         res = minimize_Fng(prob)
         assert res.converged
         assert res.iterations == 0
+        assert res.stop_reason == "converged"
         assert res.energy_trace[-1] == 0.0
 
     def test_collar_feasible_bit_identical(self):
@@ -98,6 +99,41 @@ class TestMinimize:
         res = minimize_Fng(prob)
         assert res.energy_trace[-1] <= e_datum + 1e-12
         assert np.all(np.isfinite(res.v.values))
+
+
+def wavy_problem_1d(settings=SolverSettings()):
+    """A non-affine datum, so the datum start is not a critical point."""
+    g = unit_interval_grid(48)
+    datum = field_from_function(g, lambda x: 1.2 * x + 0.05 * np.sin(2 * np.pi * x))
+    return DirichletProblem(full_mask(g, collar_width=0.15), datum,
+                            make_rescaled(box_kernel(1), 0.1), PHI, 1.0, settings)
+
+
+class TestStopReason:
+    def test_iteration_cap(self):
+        res = minimize_Fng(wavy_problem_1d(SolverSettings(max_iters=1)))
+        assert res.iterations == 1
+        assert not res.converged
+        assert res.stop_reason == "max_iters"
+
+    def test_line_search_fails_at_zero_tolerance(self):
+        # no gradient is exactly zero, so descent runs on until no trial
+        # lowers the energy or every trial step rounds away
+        res = minimize_Fng(wavy_problem_1d(SolverSettings(grad_tol=0.0, max_iters=5000)))
+        assert not res.converged
+        assert res.stop_reason == "line_search_failed"
+        assert res.iterations < 5000
+
+    def test_converged_with_reused_gradient(self):
+        # the reported gradient norm is that of the returned iterate
+        prob = wavy_problem_1d()
+        res = minimize_Fng(prob)
+        assert res.stop_reason == "converged"
+        assert res.iterations > 5
+        g = gradient_Fn(res.v, prob.mask, prob.kernel, prob.phi, prob.m).values
+        assert res.grad_norm == float(np.max(np.abs(g[prob.free])))
+        assert res.energy_trace[-1] == energy_Fn(res.v, prob.mask, prob.kernel,
+                                                 prob.phi, prob.m).value
 
 
 class TestLinearization:
