@@ -20,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENTS, ConfigError, ScenarioConfig, parse_config, validate_config
+from .config import (EXPERIMENTS, SCHEMA, ConfigError, ScenarioConfig, parse_config,
+                     validate_config)
 from .constructions import (LaminateSpec, laminate_energy_decay, laminate_field,
                             rigidity_reconstruct, sawtooth_energy)
 from .density import compute_bounds
 from .energy import build_pairs, energy_Fn, gradient_Fn
 from .grids import Grid, VectorField, box_grid, field_from_function, full_mask
-from .kernels import (KernelSequence, box_kernel, box_sequence, make_fractional,
-                      make_rescaled)
-from .materials import CATALOG_TAGS, catalog_potential, power_potential, quartic_potential
+from .kernels import box_kernel, box_sequence, make_fractional, make_rescaled
+from .materials import catalog_potential, power_potential, quartic_potential
 from .solver import (DirichletProblem, SolverSettings, linearization_experiment,
                      localization_experiment, minimize_multistart)
 
@@ -58,9 +58,8 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _grid_from_config(cfg: ScenarioConfig) -> tuple[Grid, float]:
     dom = cfg.block("domain")
-    g = box_grid(int(dom["dim"]), float(dom["lo"]), float(dom["hi"]),
-                 int(dom["n_cells"]))
-    return g, float(dom.get("collar", 0.0))
+    g = box_grid(dom["dim"], float(dom["lo"]), float(dom["hi"]), dom["n_cells"])
+    return g, float(dom["collar"])
 
 
 def _kernel_from_config(cfg: ScenarioConfig, dim: int):
@@ -71,18 +70,16 @@ def _kernel_from_config(cfg: ScenarioConfig, dim: int):
 
 
 def _potential_from_config(cfg: ScenarioConfig):
-    pot = cfg.block("potential", {"profile": "power", "p": 2.0})
-    if pot.get("profile", "power") == "quartic":
+    pot = cfg.block("potential")
+    if pot["profile"] == "quartic":
         return quartic_potential()
-    return power_potential(float(pot["p"]), float(pot.get("scale", 1.0)))
+    return power_potential(float(pot["p"]), float(pot["scale"]))
 
 
-def _matrix(entries, note="matrix") -> np.ndarray:
-    a = np.asarray(entries, dtype=float)
-    d = int(round(len(a) ** 0.5))
-    if d * d != len(a):
-        raise ValueError(f"{note} must have d*d entries")
-    return a.reshape(d, d)
+def _matrix(entries) -> np.ndarray:
+    """A validated flat row-major d*d list as a (d, d) array."""
+    d = round(len(entries) ** 0.5)
+    return np.asarray(entries, dtype=float).reshape(d, d)
 
 
 def _map_indexed(fn, items, threads: int):
@@ -100,8 +97,8 @@ def _map_indexed(fn, items, threads: int):
 
 def _run_sawtooth(cfg: ScenarioConfig, threads: int):
     blk = cfg.block("sawtooth")
-    r = sawtooth_energy(int(blk["N"]), float(blk["delta"]),
-                        float(blk["h"]) if blk.get("h") else None)
+    r = sawtooth_energy(blk["N"], float(blk["delta"]),
+                        None if blk["h"] is None else float(blk["h"]))
     tol = max(0.01, 10.0 * r.h / r.delta)
     contracts = {}
     if r.in_closed_form_regime:
@@ -115,19 +112,16 @@ def _run_sawtooth(cfg: ScenarioConfig, threads: int):
 def _run_density(cfg: ScenarioConfig, threads: int):
     blk = cfg.block("density")
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m", 1))
-    order = int(blk.get("order", 128))
-    with_lam = bool(blk.get("laminate_search", True))
+    m = float(cfg.block("strain_m"))
 
     def one(entries):
-        F = _matrix(entries, "density.matrices entry")
-        return compute_bounds(F, phi, m, order=order,
-                              with_laminate=with_lam and F.shape[0] == 2)
+        F = _matrix(entries)
+        return compute_bounds(F, phi, m, order=blk["order"],
+                              with_laminate=blk["laminate_search"] and F.shape[0] == 2)
 
     bounds = _map_indexed(one, blk["matrices"], threads)
     rows, ordering_ok = [], True
     for b in bounds:
-        d = b.F.shape[0]
         rows.append(list(b.F.ravel()) + list(b.sigma)
                     + [b.lower, b.tilde, b.laminate_upper, b.in_zero_set])
         ordering_ok &= (-1e-12 <= b.lower <= b.laminate_upper + 1e-9
@@ -141,8 +135,8 @@ def _run_density(cfg: ScenarioConfig, threads: int):
 
 def _run_laminate(cfg: ScenarioConfig, threads: int):
     blk = cfg.block("laminate")
-    phi = _potential_from_config(cfg) if cfg.block("potential") else power_potential(2.0)
-    m = float(cfg.block("strain_m", 1))
+    phi = _potential_from_config(cfg)
+    m = float(cfg.block("strain_m"))
     rows_data = laminate_energy_decay(blk["lam"], blk["n_values"], phi, m)
     rows = [[r.n, r.k, r.energy] for r in rows_data]
     e = [r.energy for r in rows_data]
@@ -152,10 +146,9 @@ def _run_laminate(cfg: ScenarioConfig, threads: int):
 
 
 def _run_rigidity(cfg: ScenarioConfig, threads: int):
-    blk = cfg.block("rigidity", {})
-    trials = int(blk.get("trials", 5))
-    res = int(blk.get("resolution", 64))
-    grid = box_grid(2, -1.0, 1.0, res)
+    blk = cfg.block("rigidity")
+    trials = blk["trials"]
+    grid = box_grid(2, -1.0, 1.0, blk["resolution"])
     rng = _rng(cfg.seed, stream=1)
     rows, ok = [], True
     for t in range(trials):
@@ -177,7 +170,7 @@ def _run_energy(cfg: ScenarioConfig, threads: int):
     grid, _ = _grid_from_config(cfg)
     kernel = _kernel_from_config(cfg, grid.dim)
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m", 1))
+    m = float(cfg.block("strain_m"))
     F = np.eye(grid.dim)
     v = VectorField(grid, grid.nodes() @ F.T)
     rep = energy_Fn(v, full_mask(grid), kernel, phi, m)
@@ -190,12 +183,12 @@ def _run_minimize(cfg: ScenarioConfig, threads: int):
     grid, collar = _grid_from_config(cfg)
     kernel = _kernel_from_config(cfg, grid.dim)
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m", 1))
+    m = float(cfg.block("strain_m"))
     blk = cfg.block("minimize")
-    F = _matrix(blk["datum"], "minimize.datum")
+    F = _matrix(blk["datum"])
     mask = full_mask(grid, collar if collar > 0 else 2 * kernel.support_radius)
     g = VectorField(grid, grid.nodes() @ F.T)
-    settings = SolverSettings(max_iters=int(blk.get("max_iters", 50_000)))
+    settings = SolverSettings(max_iters=blk["max_iters"])
     prob = DirichletProblem(mask, g, kernel, phi, m, settings)
     res = minimize_multistart(prob, seed=cfg.seed)
     affine = energy_Fn(g, mask, kernel, phi, m).value
@@ -211,11 +204,13 @@ def _run_minimize(cfg: ScenarioConfig, threads: int):
 def _run_linearize(cfg: ScenarioConfig, threads: int):
     grid, _ = _grid_from_config(cfg)
     blk = cfg.block("linearize")
-    mp_blk = dict(cfg.block("micropotential"))
-    w = catalog_potential(mp_blk.pop("tag"), **mp_blk)
-    m = float(cfg.block("strain_m", 1))
-    radius = float(blk.get("support_radius", 4.0 * float(np.mean(grid.h))))
-    if blk.get("field", "quadratic") == "quadratic":
+    # an absent catalog parameter takes the catalog's default for the tag
+    w = catalog_potential(**{k: v for k, v in cfg.block("micropotential").items()
+                             if v is not None})
+    m = float(cfg.block("strain_m"))
+    radius = blk["support_radius"]
+    radius = 4.0 * float(np.mean(grid.h)) if radius is None else float(radius)
+    if blk["field"] == "quadratic":
         u = field_from_function(grid, lambda x: x**2)
     else:
         u = field_from_function(grid, lambda x: np.sin(np.pi * x))
@@ -232,10 +227,10 @@ def _run_localize(cfg: ScenarioConfig, threads: int):
     grid, collar = _grid_from_config(cfg)
     blk = cfg.block("localize")
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m", 1))
-    F = _matrix(blk["datum"], "localize.datum")
-    law = (lambda n: 1.0 / n) if blk.get("delta_law", "1/n") == "1/n" else (lambda n: 1.0 / n**2)
-    base = int(blk.get("base_cells", grid.n_cells[0]))
+    m = float(cfg.block("strain_m"))
+    F = _matrix(blk["datum"])
+    law = (lambda n: 1.0 / n) if blk["delta_law"] == "1/n" else (lambda n: 1.0 / n**2)
+    base = grid.n_cells[0] if blk["base_cells"] is None else blk["base_cells"]
     seq = box_sequence(grid.dim, law)
     dom = cfg.block("domain")
     lo, hi = float(dom["lo"]), float(dom["hi"])
@@ -333,13 +328,13 @@ def cmd_run(args) -> int:
         cfg = ScenarioConfig(cfg.experiment, args.seed,
                              {**cfg.raw, "seed": args.seed})
     try:
-        validate_config(cfg)
+        cfg = validate_config(cfg)
     except ConfigError as exc:
         _error_json(out_dir, exc.kind, exc.problems)
         return EXIT_VALIDATION
 
     if out_dir is None:
-        out_dir = Path(args.config).with_suffix("") .parent / "out"
+        out_dir = Path(args.config).parent / "out"
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         csv_name, cols, rows, summary, contracts = _RUNNERS[cfg.experiment](cfg, args.threads)
@@ -378,15 +373,12 @@ def cmd_list_catalog(args) -> int:
     print("experiments:")
     for e in EXPERIMENTS:
         print(f"  {e}")
-    print("kernel families:")
-    for fam in ("box", "fractional"):
-        print(f"  {fam}")
-    print("potential profiles:")
-    for prof in ("power", "quartic"):
-        print(f"  {prof}")
-    print("micro-potential catalog:")
-    for tag in sorted(CATALOG_TAGS):
-        print(f"  {tag}")
+    for title, block, key in (("kernel families", "kernel", "family"),
+                              ("potential profiles", "potential", "profile"),
+                              ("micro-potential catalog", "micropotential", "tag")):
+        print(f"{title}:")
+        for name in SCHEMA[block][key].choices:
+            print(f"  {name}")
     return EXIT_OK
 
 
@@ -399,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override config seed")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent sweep points")
+                     help="worker threads for the density experiment's matrices")
     run.set_defaults(func=cmd_run)
     val = sub.add_parser("validate", help="validate a scenario config")
     val.add_argument("config")

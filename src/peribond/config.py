@@ -1,63 +1,120 @@
-"""Scenario configuration: JSON schema, parsing and validation.
+"""Scenario configuration: the JSON schema, parsing and validation.
 
-A scenario file is a single JSON object selecting an experiment and the
-blocks it needs.  Validation runs before any computation and reports every
-problem found; the CLI maps parse errors, validation errors, numerical
-failures and contract failures to distinct exit codes.
-
-Schema (keys by experiment; unknown keys are rejected):
-
-    {
-      "experiment": "energy" | "density" | "sawtooth" | "laminate" |
-                    "rigidity" | "minimize" | "linearize" | "localize" |
-                    "checks",
-      "seed": 64-bit integer (default 0),
-      "domain":   {"dim": 1|2|3, "lo": num, "hi": num, "n_cells": int,
-                   "collar": num >= 0},
-      "kernel":   {"family": "box" | "fractional", "delta": num,
-                   "s": num in (0,1), "p": num > 1},
-      "potential": {"profile": "power" | "quartic", "p": num > 1,
-                    "scale": num > 0},
-      "micropotential": {"tag": catalog tag, ...catalog params},
-      "strain_m": num >= 1 (default 1),
-      "sawtooth": {"N": int, "delta": num, "h": num | null},
-      "density":  {"matrices": [[row-major d*d numbers], ...],
-                   "order": int, "laminate_search": bool},
-      "laminate": {"lam": [numbers in [0,1]], "n_values": [ints]},
-      "rigidity": {"trials": int, "resolution": int},
-      "minimize": {"datum": [row-major d*d numbers], "max_iters": int},
-      "linearize": {"eps": [numbers], "field": "quadratic" | "sinusoid",
-                    "support_radius": num},
-      "localize": {"datum": [row-major d*d numbers], "n_values": [ints],
-                   "delta_law": "1/n" | "1/n^2", "base_cells": int}
-    }
+A scenario file is one JSON object.  ``experiment`` names the experiment,
+``seed`` and ``strain_m`` are top-level numbers, and every other key is a
+block of settings.  :data:`SCHEMA` lists each key of each block with its
+kind, its default and its bounds or choices; :data:`EXPERIMENTS` lists the
+blocks each experiment reads.  :func:`validate_config` checks a config
+against both tables and the few rules that tie keys together, before any
+computation, and reports every problem found; it returns the config with
+each default filled in, and the runners read that.  The CLI maps parse
+errors, validation errors, numerical failures and contract failures to
+distinct exit codes.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
-EXPERIMENTS = ("energy", "density", "sawtooth", "laminate", "rigidity",
-               "minimize", "linearize", "localize", "checks")
+from .materials import CATALOG_TAGS
 
-_TOP_KEYS = {"experiment", "seed", "domain", "kernel", "potential",
-             "micropotential", "strain_m", "sawtooth", "density", "laminate",
-             "rigidity", "minimize", "linearize", "localize"}
+#: the default of a key, or the value of a block, that the config must give
+REQUIRED = object()
 
-#: blocks each experiment requires beyond its own section
-_REQUIRED = {
-    "energy": ["domain", "kernel", "potential"],
-    "density": ["potential", "density"],
-    "sawtooth": ["sawtooth"],
-    "laminate": ["laminate"],
-    "rigidity": [],
-    "minimize": ["domain", "kernel", "potential", "minimize"],
-    "linearize": ["domain", "micropotential", "linearize"],
-    "localize": ["domain", "potential", "localize"],
-    "checks": [],
+
+class Key(NamedTuple):
+    """One config key.
+
+    ``kind`` is "int", "num", "bool", "str", "ints" or "nums" (non-empty
+    lists), "matrix" (a flat row-major list of d*d numbers, d in 1..3) or
+    "matrices" (a non-empty list of matrices of one d).  ``default`` is the
+    value an absent key takes: REQUIRED, or None where the runner works the
+    value out or a rule of :func:`validate_config` requires the key; JSON
+    null then means the same as absent.  ``bounds`` holds comma-separated
+    terms such as ">= 1" that the value, or each entry of a list, satisfies.
+    """
+
+    kind: str
+    default: Any = REQUIRED
+    bounds: str = ""
+    choices: tuple = ()
+
+
+#: blocks each experiment reads: REQUIRED, or the block used when absent
+EXPERIMENTS: dict[str, dict[str, Any]] = {
+    "energy": {"domain": REQUIRED, "kernel": REQUIRED, "potential": REQUIRED},
+    "density": {"potential": REQUIRED, "density": REQUIRED},
+    "sawtooth": {"sawtooth": REQUIRED},
+    "laminate": {"laminate": REQUIRED, "potential": {"p": 2.0}},
+    "rigidity": {"rigidity": {}},
+    "minimize": {"domain": REQUIRED, "kernel": REQUIRED, "potential": REQUIRED,
+                 "minimize": REQUIRED},
+    "linearize": {"domain": REQUIRED, "micropotential": REQUIRED, "linearize": REQUIRED},
+    "localize": {"domain": REQUIRED, "potential": REQUIRED, "localize": REQUIRED},
+    "checks": {},
 }
+
+#: block -> key -> Key; block "" holds the top-level keys
+SCHEMA: dict[str, dict[str, Key]] = {
+    "": {"experiment": Key("str", choices=tuple(EXPERIMENTS)),
+         "seed": Key("int", 0, ">= 0, < 18446744073709551616"),
+         "strain_m": Key("num", 1, ">= 1")},
+    "domain": {"dim": Key("int", choices=(1, 2, 3)),
+               "lo": Key("num"),
+               "hi": Key("num"),
+               "n_cells": Key("int", bounds=">= 2"),
+               # 0 lets minimize and localize pick their own collar
+               "collar": Key("num", 0.0, ">= 0")},
+    # delta for family box, s and p for fractional
+    "kernel": {"family": Key("str", choices=("box", "fractional")),
+               "delta": Key("num", None, "> 0"),
+               "s": Key("num", None, "> 0, < 1"),
+               "p": Key("num", None, "> 1")},
+    # p for profile power
+    "potential": {"profile": Key("str", "power", choices=("power", "quartic")),
+                  "p": Key("num", None, "> 1"),
+                  "scale": Key("num", 1.0, "> 0")},
+    # absent parameters take the catalog's default for the tag
+    "micropotential": {"tag": Key("str", choices=tuple(sorted(CATALOG_TAGS))),
+                       "s0": Key("num", None),
+                       "c": Key("num", None),
+                       "fprime0": Key("num", None)},
+    # h: delta/32 when absent
+    "sawtooth": {"N": Key("int", bounds=">= 1"),
+                 "delta": Key("num", bounds="> 0"),
+                 "h": Key("num", None, "> 0")},
+    "density": {"matrices": Key("matrices"),
+                "order": Key("int", 128, ">= 8"),
+                "laminate_search": Key("bool", True)},
+    "laminate": {"lam": Key("nums", bounds=">= 0, <= 1"),
+                 "n_values": Key("ints", bounds=">= 1")},
+    "rigidity": {"trials": Key("int", 5, ">= 1"),
+                 "resolution": Key("int", 64, ">= 8")},
+    "minimize": {"datum": Key("matrix"),
+                 "max_iters": Key("int", 50_000, ">= 1")},
+    # support_radius: four mean grid spacings when absent
+    "linearize": {"eps": Key("nums", bounds="> 0"),
+                  "field": Key("str", "quadratic", choices=("quadratic", "sinusoid")),
+                  "support_radius": Key("num", None, "> 0")},
+    # base_cells: domain.n_cells when absent
+    "localize": {"datum": Key("matrix"),
+                 "n_values": Key("ints", bounds=">= 1"),
+                 "delta_law": Key("str", "1/n", choices=("1/n", "1/n^2")),
+                 "base_cells": Key("int", None, ">= 8")},
+}
+
+_KIND_TEXT = {"int": "an integer", "num": "a number", "bool": "true or false",
+              "str": "a string", "ints": "a non-empty list of integers",
+              "nums": "a non-empty list of numbers",
+              "matrix": "a flat list of d*d numbers for d in 1..3",
+              "matrices": "a non-empty list of flat d*d matrices of one d in 1..3"}
+
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+_BAD = object()
 
 
 class ConfigError(Exception):
@@ -71,101 +128,106 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario; ``raw`` is the JSON object, and after
+    :func:`validate_config` it holds every block the experiment reads with
+    each default filled in."""
+
     experiment: str
     seed: int
     raw: dict = field(repr=False)
 
-    def block(self, name: str, default=None) -> Any:
-        return self.raw.get(name, default)
+    def block(self, name: str) -> Any:
+        return self.raw[name]
 
 
-def _check_number(problems, block, name, key, lo=None, hi=None,
-                  strict_lo=False, required=True):
-    if key not in block:
-        if required:
-            problems.append(f"{name}.{key} is required")
-        return None
-    v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        problems.append(f"{name}.{key} must be a number")
-        return None
-    if lo is not None and (v <= lo if strict_lo else v < lo):
-        problems.append(f"{name}.{key} must be {'>' if strict_lo else '>='} {lo}")
-    if hi is not None and v > hi:
-        problems.append(f"{name}.{key} must be <= {hi}")
-    return v
+def _read(kind: str, v) -> Any:
+    """``v`` as a value of ``kind``, integers as ``int``; _BAD if it is not one."""
+    if kind == "bool":
+        return v if isinstance(v, bool) else _BAD
+    if kind == "str":
+        return v if isinstance(v, str) else _BAD
+    if kind in ("int", "num"):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return _BAD
+        if kind == "num":
+            return v
+        return int(v) if isinstance(v, int) or v.is_integer() else _BAD
+    if not isinstance(v, list) or not v:
+        return _BAD
+    if kind == "matrices":
+        items = [_read("matrix", x) for x in v]
+        one_d = len({len(x) for x in items if x is not _BAD}) == 1
+        return items if one_d and _BAD not in items else _BAD
+    items = [_read("int" if kind == "ints" else "num", x) for x in v]
+    if _BAD in items or (kind == "matrix" and len(items) not in (1, 4, 9)):
+        return _BAD
+    return items
 
 
-def _check_int(problems, block, name, key, lo=None, required=True):
-    v = _check_number(problems, block, name, key, lo=lo, required=required)
-    if v is not None and int(v) != v:
-        problems.append(f"{name}.{key} must be an integer")
-        return None
-    return None if v is None else int(v)
+def _check(problems: list[str], where: str, key: Key, v) -> Any:
+    """``v`` read as ``key`` describes; _BAD after recording each problem."""
+    got = _read(key.kind, v)
+    if got is _BAD:
+        problems.append(f"{where} must be {_KIND_TEXT[key.kind]}")
+        return _BAD
+    if key.choices and got not in key.choices:
+        problems.append(f"{where} must be one of {key.choices}")
+        return _BAD
+    entries, what = (got, f"{where} entries") if isinstance(got, list) else ([got], where)
+    for term in filter(None, key.bounds.split(",")):
+        op, bound = term.split()
+        if not all(_OPS[op](x, float(bound)) for x in entries):
+            problems.append(f"{what} must be {op} {bound}")
+            got = _BAD
+    return got
 
 
-def _validate_domain(problems, dom):
-    d = _check_int(problems, dom, "domain", "dim", lo=1)
-    if d is not None and d not in (1, 2, 3):
-        problems.append("domain.dim must be 1, 2 or 3")
-    lo = _check_number(problems, dom, "domain", "lo")
-    hi = _check_number(problems, dom, "domain", "hi")
-    if lo is not None and hi is not None and hi <= lo:
+def _check_block(problems: list[str], name: str, given) -> dict:
+    """Block ``name`` with each key checked and each absent key's default
+    filled in; a key that fails its check is left out."""
+    if not isinstance(given, dict):
+        problems.append(f"{name} must be an object")
+        return {}
+    spec = SCHEMA[name]
+    unknown = sorted(set(given) - set(spec))
+    if unknown:
+        problems.append(f"unknown {name or 'top-level'} keys: {unknown}")
+    prefix = f"{name}." if name else ""
+    out = {}
+    for key, k in spec.items():
+        if key not in given and k.default is REQUIRED:
+            problems.append(f"{prefix}{key} is required")
+        elif key not in given or (given[key] is None and k.default is None):
+            out[key] = k.default
+        elif (v := _check(problems, prefix + key, k, given[key])) is not _BAD:
+            out[key] = v
+    return out
+
+
+def _check_cross(problems: list[str], cfg: dict) -> None:
+    """The rules that tie keys together.  They read only values that passed
+    their own check, so no problem is reported twice."""
+    dom, kern, pot = (cfg.get(b, {}) for b in ("domain", "kernel", "potential"))
+    if "lo" in dom and "hi" in dom and dom["hi"] <= dom["lo"]:
         problems.append("domain.hi must exceed domain.lo")
-    _check_int(problems, dom, "domain", "n_cells", lo=2)
-    _check_number(problems, dom, "domain", "collar", lo=0.0, required=False)
-
-
-def _validate_kernel(problems, kern):
-    fam = kern.get("family")
-    if fam not in ("box", "fractional"):
-        problems.append("kernel.family must be 'box' or 'fractional'")
-    elif fam == "box":
-        _check_number(problems, kern, "kernel", "delta", lo=0.0, strict_lo=True)
-    else:
-        s = _check_number(problems, kern, "kernel", "s", lo=0.0, hi=1.0)
-        if s is not None and not (0.0 < s < 1.0):
-            problems.append("kernel.s must lie strictly in (0, 1)")
-        _check_number(problems, kern, "kernel", "p", lo=1.0, strict_lo=True)
-
-
-def _validate_potential(problems, pot):
-    prof = pot.get("profile", "power")
-    if prof not in ("power", "quartic"):
-        problems.append("potential.profile must be 'power' or 'quartic'")
-    if prof == "power":
-        _check_number(problems, pot, "potential", "p", lo=1.0, strict_lo=True)
-        _check_number(problems, pot, "potential", "scale", lo=0.0,
-                      strict_lo=True, required=False)
-
-
-def _validate_micropotential(problems, mp):
-    from .materials import CATALOG_TAGS
-    tag = mp.get("tag")
-    if tag not in CATALOG_TAGS:
-        problems.append(f"micropotential.tag must be one of {sorted(CATALOG_TAGS)}")
-
-
-def _validate_matrices(problems, block, name, key):
-    mats = block.get(key)
-    if not isinstance(mats, list) or not mats:
-        problems.append(f"{name}.{key} must be a non-empty list")
-        return
-    for i, m in enumerate(mats):
-        if not isinstance(m, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in m):
-            problems.append(f"{name}.{key}[{i}] must be a list of numbers")
-        elif len(m) not in (1, 4, 9):
-            problems.append(f"{name}.{key}[{i}] must have d*d entries for d in 1..3")
-
-
-def _validate_matrix(problems, block, name, key):
-    m = block.get(key)
-    if not isinstance(m, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in m):
-        problems.append(f"{name}.{key} must be a flat list of d*d numbers")
-    elif len(m) not in (1, 4, 9):
-        problems.append(f"{name}.{key} must have d*d entries for d in 1..3")
+    needed = [("kernel", key) for key in
+              {"box": ("delta",), "fractional": ("s", "p")}.get(kern.get("family"), ())]
+    if pot.get("profile") == "power":
+        needed.append(("potential", "p"))
+    for name, key in needed:
+        if key in cfg[name] and cfg[name][key] is None:
+            problems.append(f"{name}.{key} is required")
+    saw = cfg.get("sawtooth", {})
+    if "delta" in saw and saw.get("h") is not None and saw["h"] > saw["delta"] / 16.0:
+        problems.append("sawtooth.h must be <= delta/16")
+    eps = cfg.get("linearize", {}).get("eps")
+    if eps is not None and (len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:]))):
+        problems.append("linearize.eps must hold >= 2 strictly decreasing numbers")
+    for name in ("minimize", "localize"):
+        datum = cfg.get(name, {}).get("datum")
+        if datum is not None and "dim" in dom and len(datum) != dom["dim"] ** 2:
+            problems.append(f"{name}.datum must have d*d entries for d = domain.dim "
+                            f"= {dom['dim']}")
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -184,91 +246,25 @@ def parse_config(path: str) -> ScenarioConfig:
     return ScenarioConfig(str(exp), int(seed) if isinstance(seed, int) else 0, data)
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Full schema validation; raises ConfigError("validation", ...) listing
-    every problem found."""
-    problems: list[str] = []
-    raw = cfg.raw
+def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check ``cfg`` against :data:`SCHEMA`, :data:`EXPERIMENTS` and the
+    rules that tie keys together; return it with every default filled in.
+    Raises ConfigError("validation", ...) listing every problem found."""
     if cfg.experiment not in EXPERIMENTS:
-        problems.append(f"experiment must be one of {EXPERIMENTS}")
-        raise ConfigError("validation", problems)
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        problems.append("seed must be a 64-bit unsigned integer")
-    m = raw.get("strain_m", 1)
-    if not isinstance(m, (int, float)) or isinstance(m, bool) or m < 1:
-        problems.append("strain_m must be a number >= 1")
-
-    for name in _REQUIRED[cfg.experiment]:
-        if name not in raw:
+        raise ConfigError("validation",
+                          [f"experiment must be one of {tuple(EXPERIMENTS)}"])
+    problems: list[str] = []
+    blocks = [name for name in SCHEMA if name]
+    out = _check_block(problems, "", {k: v for k, v in cfg.raw.items() if k not in blocks})
+    reads = EXPERIMENTS[cfg.experiment]
+    for name in blocks:
+        if name in cfg.raw:
+            out[name] = _check_block(problems, name, cfg.raw[name])
+        elif reads.get(name) is REQUIRED:
             problems.append(f"experiment '{cfg.experiment}' requires block '{name}'")
-
-    if "domain" in raw:
-        _validate_domain(problems, raw["domain"])
-    if "kernel" in raw:
-        _validate_kernel(problems, raw["kernel"])
-    if "potential" in raw:
-        _validate_potential(problems, raw["potential"])
-    if "micropotential" in raw:
-        _validate_micropotential(problems, raw["micropotential"])
-
-    if "sawtooth" in raw:
-        blk = raw["sawtooth"]
-        N = _check_int(problems, blk, "sawtooth", "N", lo=1)
-        delta = _check_number(problems, blk, "sawtooth", "delta", lo=0.0, strict_lo=True)
-        h = _check_number(problems, blk, "sawtooth", "h", lo=0.0,
-                          strict_lo=True, required=False)
-        if delta is not None and h is not None and h > delta / 16.0:
-            problems.append("sawtooth.h must be <= delta/16")
-    if "density" in raw:
-        blk = raw["density"]
-        _validate_matrices(problems, blk, "density", "matrices")
-        _check_int(problems, blk, "density", "order", lo=8, required=False)
-    if "laminate" in raw:
-        blk = raw["laminate"]
-        lam = blk.get("lam")
-        if not isinstance(lam, list) or not lam or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and 0.0 <= x <= 1.0 for x in lam):
-            problems.append("laminate.lam must be a list of numbers in [0, 1]")
-        nv = blk.get("n_values")
-        if not isinstance(nv, list) or not nv or not all(
-                isinstance(x, int) and x >= 1 for x in nv):
-            problems.append("laminate.n_values must be a list of integers >= 1")
-    if "rigidity" in raw:
-        blk = raw["rigidity"]
-        _check_int(problems, blk, "rigidity", "trials", lo=1, required=False)
-        _check_int(problems, blk, "rigidity", "resolution", lo=8, required=False)
-    if "minimize" in raw:
-        _validate_matrix(problems, raw["minimize"], "minimize", "datum")
-        _check_int(problems, raw["minimize"], "minimize", "max_iters", lo=1,
-                   required=False)
-    if "linearize" in raw:
-        blk = raw["linearize"]
-        eps = blk.get("eps")
-        if not isinstance(eps, list) or len(eps) < 2 or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-                for x in eps):
-            problems.append("linearize.eps must be a list of >= 2 positive numbers")
-        elif any(b >= a for a, b in zip(eps, eps[1:])):
-            problems.append("linearize.eps must be strictly decreasing")
-        if blk.get("field", "quadratic") not in ("quadratic", "sinusoid"):
-            problems.append("linearize.field must be 'quadratic' or 'sinusoid'")
-        _check_number(problems, blk, "linearize", "support_radius", lo=0.0,
-                      strict_lo=True, required=False)
-    if "localize" in raw:
-        blk = raw["localize"]
-        _validate_matrix(problems, blk, "localize", "datum")
-        nv = blk.get("n_values")
-        if not isinstance(nv, list) or not nv or not all(
-                isinstance(x, int) and x >= 1 for x in nv):
-            problems.append("localize.n_values must be a list of integers >= 1")
-        if blk.get("delta_law", "1/n") not in ("1/n", "1/n^2"):
-            problems.append("localize.delta_law must be '1/n' or '1/n^2'")
-        _check_int(problems, blk, "localize", "base_cells", lo=8, required=False)
-
+        elif name in reads:
+            out[name] = _check_block(problems, name, reads[name])
+    _check_cross(problems, out)
     if problems:
         raise ConfigError("validation", problems)
+    return ScenarioConfig(cfg.experiment, out["seed"], out)

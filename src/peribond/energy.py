@@ -93,8 +93,8 @@ class PairSet:
 
     Pairs are held per integer offset, in sorted offset order: each offset
     carries its exact bond vector and length and the two blocks of the
-    active nodes' bounding box that it connects.  ``i``, ``j``, ``r`` and
-    ``dir`` expand the bonds one by one, in the order every bond sum uses.
+    active nodes' bounding box that it connects.  Every bond sum visits the
+    bonds offset by offset, and within an offset in node order.
     """
 
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
@@ -151,9 +151,6 @@ class PairSet:
         i, j = idx[o.src].ravel(), idx[o.dst].ravel()
         return (i, j) if o.keep is None else (i[o.keep], j[o.keep])
 
-    def _offsets(self) -> list[_Offset]:
-        return [o for run in self._runs for o in run.offsets]
-
     def _pair(self, run: _Run, k: int) -> tuple[int, int]:
         """The node pair of bond ``k`` of ``run``."""
         ends = np.cumsum(run.counts)
@@ -161,25 +158,6 @@ class PairSet:
         i, j = self._nodes(run.offsets[q])
         k -= int(ends[q] - run.counts[q])
         return int(i[k]), int(j[k])
-
-    @property
-    def i(self) -> np.ndarray:
-        return np.concatenate([np.empty(0, dtype=int),
-                               *(self._nodes(o)[0] for o in self._offsets())])
-
-    @property
-    def j(self) -> np.ndarray:
-        return np.concatenate([np.empty(0, dtype=int),
-                               *(self._nodes(o)[1] for o in self._offsets())])
-
-    @property
-    def r(self) -> np.ndarray:
-        return np.concatenate([np.empty(0), *(run.per_bond(run.r) for run in self._runs)])
-
-    @property
-    def dir(self) -> np.ndarray:
-        return np.concatenate([np.empty((0, self.grid.dim)),
-                               *(run.per_bond(run.xi / run.r).T for run in self._runs)])
 
 
 def build_pairs(grid: Grid, mask: SubdomainMask | None, radius: float) -> PairSet:

@@ -166,9 +166,6 @@ class VectorField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", _readonly(v))
 
-    def with_values(self, values: np.ndarray) -> "VectorField":
-        return VectorField(self.grid, values)
-
 
 def field_from_function(grid: Grid, f) -> VectorField:
     """Sample ``f`` (mapping (N, d) points to (N, d) vectors) at the nodes."""

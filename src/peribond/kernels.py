@@ -178,29 +178,24 @@ def tabulated_kernel(d: int, r: np.ndarray, rho: np.ndarray) -> Kernel:
 
 @dataclass(frozen=True)
 class KernelSequence:
-    """A localizing family n -> rho_n together with a description of its law."""
+    """A localizing family n -> rho_n."""
 
     generator: Callable[[int], Kernel]
-    law: str = ""
 
     def __getitem__(self, n: int) -> Kernel:
         return self.generator(n)
 
 
-def box_sequence(d: int, delta_law=lambda n: 1.0 / n) -> KernelSequence:
-    base = box_kernel(d)
-    return KernelSequence(lambda n: make_rescaled(base, delta_law(n)),
-                          law="box, delta(n) supplied by delta_law")
-
-
 def rescaled_sequence(base: Kernel, delta_law=lambda n: 1.0 / n) -> KernelSequence:
-    return KernelSequence(lambda n: make_rescaled(base, delta_law(n)),
-                          law=f"rescaled {base.family}")
+    return KernelSequence(lambda n: make_rescaled(base, delta_law(n)))
+
+
+def box_sequence(d: int, delta_law=lambda n: 1.0 / n) -> KernelSequence:
+    return rescaled_sequence(box_kernel(d), delta_law)
 
 
 def fractional_sequence(d: int, p: float, s_law=lambda n: 1.0 - 1.0 / (n + 1)) -> KernelSequence:
-    return KernelSequence(lambda n: make_fractional(d, s_law(n), p),
-                          law="fractional, s(n) -> 1")
+    return KernelSequence(lambda n: make_fractional(d, s_law(n), p))
 
 
 @dataclass(frozen=True)

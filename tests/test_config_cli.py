@@ -4,6 +4,7 @@ artifacts, determinism and error reporting."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +20,29 @@ GOOD_DENSITY = {"experiment": "density", "seed": 1,
                 "density": {"matrices": [[1.0, 0.0, 0.0, 1.0],
                                          [2.0, 0.0, 0.0, 1.0]],
                             "order": 64}}
+DOMAIN_1D = {"dim": 1, "lo": 0.0, "hi": 1.0, "n_cells": 16}
+GOOD_LINEARIZE = {"experiment": "linearize", "domain": DOMAIN_1D,
+                  "micropotential": {"tag": "mbm", "s0": 0.3},
+                  "linearize": {"eps": [0.1, 0.05]}}
+GOOD_MINIMIZE = {"experiment": "minimize", "domain": DOMAIN_1D,
+                 "kernel": {"family": "box", "delta": 0.2},
+                 "potential": {"profile": "power", "p": 2.0},
+                 "minimize": {"datum": [1.0], "max_iters": 20}}
+GOOD_LOCALIZE = {"experiment": "localize", "domain": DOMAIN_1D,
+                 "potential": {"profile": "power", "p": 2.0},
+                 "localize": {"datum": [1.0], "n_values": [2]}}
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload) if isinstance(payload, dict) else payload)
     return str(path)
+
+
+def with_keys(cfg, block, **keys):
+    """``cfg`` with ``keys`` set in ``block``."""
+    return {**cfg, block: {**cfg[block], **keys}}
 
 
 class TestValidation:
@@ -77,6 +95,62 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert any("decreasing" in p for p in exc.value.problems)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("cfg,word", [
+        (with_keys(GOOD_DENSITY, "density", ordr=16), "ordr"),
+        (with_keys(GOOD_DENSITY, "density", laminate_serch=False), "laminate_serch"),
+        (with_keys(GOOD_DENSITY, "density", laminate_search="false"),
+         "density.laminate_search"),
+        (with_keys(GOOD_DENSITY, "density", matrices=[[1.0, 0.0, 0.0, 1.0], [2.0]]),
+         "density.matrices"),
+        ({"experiment": "laminate", "laminate": {"lam": [0.5], "n_values": [1, True]}},
+         "laminate.n_values"),
+        (with_keys(GOOD_LINEARIZE, "micropotential", s0="abc"), "micropotential.s0"),
+        (with_keys(GOOD_LINEARIZE, "micropotential", zeta=1.0), "zeta"),
+    ], ids=["misspelled-order", "misspelled-laminate-search", "string-bool",
+            "mixed-d-matrices", "bool-in-n-values", "non-numeric-param",
+            "undeclared-param"])
+    def test_rejected(self, tmp_path, cfg, word):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(parse_config(write(tmp_path, "c.json", cfg)))
+        assert exc.value.kind == "validation"
+        assert any(word in p for p in exc.value.problems)
+
+    @pytest.mark.parametrize("cfg", [
+        with_keys(GOOD_MINIMIZE, "minimize", datum=[1.0, 0.0, 0.0, 1.0]),
+        with_keys(GOOD_LOCALIZE, "localize", datum=[1.0, 0.0, 0.0, 1.0]),
+        {"experiment": "sawtooth", "sawtooth": 5},
+        {"experiment": "rigidity", "rigidity": [8]},
+    ], ids=["minimize-datum-d", "localize-datum-d", "number-block", "list-block"])
+    def test_rejected_before_running(self, tmp_path, capsys, cfg):
+        path = write(tmp_path, "c.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+        assert main(["validate", path]) == 3
+        capsys.readouterr()
+
+    def test_null_h_runs(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", with_keys(GOOD_SAWTOOTH, "sawtooth", h=None))
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+
+    def test_defaults_filled_in(self, tmp_path):
+        cfg = validate_config(parse_config(write(tmp_path, "c.json", {
+            "experiment": "rigidity", "seed": 2.0})))
+        assert cfg.seed == 2 and isinstance(cfg.seed, int)
+        assert cfg.block("rigidity") == {"trials": 5, "resolution": 64}
+        assert cfg.block("strain_m") == 1
+        cfg = validate_config(parse_config(write(tmp_path, "c.json", GOOD_DENSITY)))
+        assert cfg.block("density")["laminate_search"] is True
+        assert cfg.block("density")["order"] == 64
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_validates(self, path, capsys):
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
 
 
 class TestCliExitCodes:

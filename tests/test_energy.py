@@ -44,6 +44,40 @@ def brute_force_energy(v, kernel, phi, m):
     return total * g.cell_volume**2
 
 
+class ListedPairs(PairSet):
+    """A PairSet that also lists its bonds one by one, in the order every
+    bond sum visits them: tail and head nodes ``i`` and ``j``, lengths ``r``
+    and unit directions ``dir``."""
+
+    def _offsets(self):
+        return [o for run in self._runs for o in run.offsets]
+
+    @property
+    def i(self):
+        return np.concatenate([np.empty(0, dtype=int),
+                               *(self._nodes(o)[0] for o in self._offsets())])
+
+    @property
+    def j(self):
+        return np.concatenate([np.empty(0, dtype=int),
+                               *(self._nodes(o)[1] for o in self._offsets())])
+
+    @property
+    def r(self):
+        return np.concatenate([np.empty(0), *(run.per_bond(run.r) for run in self._runs)])
+
+    @property
+    def dir(self):
+        return np.concatenate([np.empty((0, self.grid.dim)),
+                               *(run.per_bond(run.xi / run.r).T for run in self._runs)])
+
+
+def listed_pairs(grid, mask, radius):
+    """:func:`build_pairs` returning a :class:`ListedPairs`."""
+    active = mask.active if mask is not None else np.ones(grid.n_nodes, dtype=bool)
+    return ListedPairs(grid, active, radius)
+
+
 class PerPairReference:
     """Per-pair gather formulas over :func:`brute_force_pairs`: one row per
     bond in offset-major, node-minor order, gathered by index arrays and
@@ -187,7 +221,7 @@ class TestFusedPass:
         n, radius = TestStencilEquivalence.SIZES[d]
         g = box_grid(d, 0.0, 1.0, n)
         mask, radius = TestStencilEquivalence._mask(g, kind, radius)
-        pairs = build_pairs(g, mask, radius)
+        pairs = listed_pairs(g, mask, radius)
         rng = np.random.default_rng(60 + d)
         x = g.nodes()
         F = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))
@@ -219,14 +253,14 @@ class TestPairSet:
     @pytest.mark.parametrize("d,n,radius", [(1, 12, 0.3), (2, 6, 0.4), (3, 4, 0.6)])
     def test_matches_brute_force(self, d, n, radius):
         g = box_grid(d, 0.0, 1.0, n)
-        pairs = build_pairs(g, None, radius)
+        pairs = listed_pairs(g, None, radius)
         got = {(min(i, j), max(i, j)) for i, j in zip(pairs.i, pairs.j)}
         assert got == brute_force_pairs(g, radius)
         assert len(got) == len(pairs)  # no duplicates
 
     def test_geometry_exact(self):
         g = box_grid(2, 0.0, 1.0, 8)
-        pairs = build_pairs(g, None, 0.4)
+        pairs = listed_pairs(g, None, 0.4)
         x = g.nodes()
         dx = x[pairs.j] - x[pairs.i]
         np.testing.assert_allclose(np.linalg.norm(dx, axis=1), pairs.r, rtol=1e-15)
@@ -234,8 +268,8 @@ class TestPairSet:
 
     def test_deterministic_order(self):
         g = box_grid(2, 0.0, 1.0, 10)
-        a = build_pairs(g, None, 0.35)
-        b = build_pairs(g, None, 0.35)
+        a = listed_pairs(g, None, 0.35)
+        b = listed_pairs(g, None, 0.35)
         np.testing.assert_array_equal(a.i, b.i)
         np.testing.assert_array_equal(a.j, b.j)
 
@@ -243,7 +277,7 @@ class TestPairSet:
         g = unit_interval_grid(10)
         active = np.zeros(10, dtype=bool)
         active[2:7] = True
-        pairs = PairSet(g, active, 0.25)
+        pairs = ListedPairs(g, active, 0.25)
         assert set(pairs.i) | set(pairs.j) <= set(range(2, 7))
 
 
@@ -434,7 +468,7 @@ class TestStretches:
         g = box_grid(2, 0.0, 1.0, 8)
         F = np.array([[2.0, 0.0], [0.0, 0.5]])
         v = affine_field(g, F)
-        pairs = build_pairs(g, None, 0.4)
+        pairs = listed_pairs(g, None, 0.4)
         t = stretches(v, pairs)
         expected = np.linalg.norm(pairs.dir @ F.T, axis=1)
         np.testing.assert_allclose(t, expected, rtol=1e-12)
