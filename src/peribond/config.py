@@ -79,9 +79,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
                   "scale": Key("num", 1.0, "> 0")},
     # absent parameters take the catalog's default for the tag
     "micropotential": {"tag": Key("str", choices=tuple(sorted(CATALOG_TAGS))),
-                       "s0": Key("num", None),
-                       "c": Key("num", None),
-                       "fprime0": Key("num", None)},
+                       "s0": Key("num", None, "> 0"),
+                       "c": Key("num", None, "> 0")},
     # h: delta/32 when absent
     "sawtooth": {"N": Key("int", bounds=">= 1"),
                  "delta": Key("num", bounds="> 0"),

@@ -23,51 +23,103 @@ def singular_values(F: np.ndarray) -> np.ndarray:
     return np.linalg.svd(F, compute_uv=False)
 
 
-def _sphere_average(C: np.ndarray, phi: Potential, m: float,
-                    q: SphereQuadrature, lower: bool = False) -> np.ndarray:
+def _monomial_rule(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials w_i w_j, i <= j, at the nodes of ``q`` and their weights.
+
+    Every integrand here is even in w.  Where node k + Q/2 of the rule is the
+    antipode of node k (the d = 2 rule at even order), the first half of the
+    nodes with doubled weights gives the same averages to rounding; any other
+    rule is used whole.  Shapes (k, Q) and (Q,), Q the nodes kept.
+    """
+    pts, w = q.points, q.weights
+    h = len(w) // 2
+    if (len(w) % 2 == 0 and np.array_equal(w[:h], w[h:])
+            and np.max(np.abs(pts[h:] + pts[:h])) <= 8 * np.finfo(float).eps):
+        pts, w = pts[:h], 2.0 * w[:h]
+    i, j = np.triu_indices(q.dim)
+    return (pts[:, i] * pts[:, j]).T, w
+
+
+def _sphere_average(coef: np.ndarray, phi: Potential, m: float,
+                    rule: tuple[np.ndarray, np.ndarray],
+                    lower: bool = False) -> np.ndarray:
     """Sphere average of Phi(m^-1 (|F w|^m - 1)) over a stack of Grams C = F^T F.
 
-    |F w|^2 = w^T C w is one (B, k) @ (k, Q) product over the k upper-triangle
-    monomials w_i w_j of the quadrature points.  With ``lower`` the argument
-    takes its positive part, otherwise its absolute value.  Shape
-    (B, d, d) -> (B,).
+    Each matrix enters as one row of ``coef``: the coefficients (C_ii, 2 C_ij),
+    i < j, of the monomials w_i w_j, so that |F w|^2 = w^T C w is the row
+    times the monomials of a node in the ``_monomial_rule``.  With ``lower``
+    the argument takes its positive part, otherwise its absolute value.
+    Shape (B, k) -> (B,).
     """
-    i, j = np.triu_indices(C.shape[-1])
-    coef = np.where(i == j, 1.0, 2.0) * C[:, i, j]
+    mono, w = rule
     # rounding pushes w^T C w slightly below 0 when F is singular, and the
     # fractional power would turn that into a NaN that np.argmin picks
-    t2 = np.maximum(coef @ (q.points[:, i] * q.points[:, j]).T, 0.0)
+    t2 = np.maximum(coef @ mono, 0.0)
     arg = ((t2 if m == 2 else t2 ** (m / 2)) - 1.0) / m
     arg = np.maximum(arg, 0.0) if lower else np.abs(arg)
-    return phi(arg) @ q.weights
+    return phi(arg) @ w
 
 
-def _gram(Fs: np.ndarray) -> np.ndarray:
-    """F^T F for a stack of matrices, shape (B, d, d)."""
-    return np.swapaxes(Fs, -1, -2) @ Fs
+def _gram_rows(Fs: np.ndarray) -> np.ndarray:
+    """Monomial coefficients (C_ii, 2 C_ij) of C = F^T F, (B, d, d) -> (B, k).
+
+    C_ij is the dot product of columns i and j of F, summed elementwise: a
+    batched matmul costs far more per 2 x 2 matrix.
+    """
+    i, j = np.triu_indices(Fs.shape[-1])
+    return np.where(i == j, 1.0, 2.0) * np.sum(Fs[..., i] * Fs[..., j], axis=-2)
 
 
-def _canonical_gram(Fs: np.ndarray) -> np.ndarray:
-    """diag(sigma(F)^2) for a stack of matrices, shape (B, d, d).
+def _canonical_rows(Fs: np.ndarray) -> np.ndarray:
+    """The ``_gram_rows`` of diag(sigma(F)), (B, d, d) -> (B, k).
 
     The spherical averages depend on F only through its singular values, and
     fixing the orientation keeps the quadrature error identical across the
     orbit F -> U' F U'' instead of drifting with the integrand's kink position.
     """
     sig = np.linalg.svd(Fs, compute_uv=False)
-    return sig[:, :, None] ** 2 * np.eye(Fs.shape[-1])
+    return _gram_rows(sig[:, :, None] * np.eye(Fs.shape[-1]))
+
+
+def _rank_one_terms(sig: np.ndarray, a: np.ndarray,
+                    n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram of G = diag(sig) + s a (x) n in d = 2, as monomial coefficients.
+
+    G^T G = diag(sig^2) + s (b (x) n + n (x) b) + s^2 |a|^2 n (x) n with
+    b = diag(sig) a; this returns the rows of the two matrices that s and s^2
+    multiply, written out entry by entry.  (B, 2), (B, 2) -> (B, 3), (B, 3).
+    """
+    b0, b1 = sig[0] * a[:, 0], sig[1] * a[:, 1]
+    n0, n1 = n[:, 0], n[:, 1]
+    lin = 2.0 * np.stack([b0 * n0, b0 * n1 + b1 * n0, b1 * n1], axis=-1)
+    quad = (a[:, 0] ** 2 + a[:, 1] ** 2)[:, None] * np.stack(
+        [n0 * n0, 2.0 * n0 * n1, n1 * n1], axis=-1)
+    return lin, quad
+
+
+def _laminate_values(sig: np.ndarray, lam: float, lin: np.ndarray,
+                     quad: np.ndarray, phi: Potential, m: float,
+                     rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """lam tilde(F + (1-lam) a (x) n) + (1-lam) tilde(F - lam a (x) n) at
+    F = diag(sig), one candidate (a, n) per row of the ``_rank_one_terms``."""
+    base = np.array([sig[0] ** 2, 0.0, sig[1] ** 2])
+    s = 1.0 - lam
+    plus = _sphere_average(base + s * lin + s * s * quad, phi, m, rule)
+    minus = _sphere_average(base - lam * lin + lam * lam * quad, phi, m, rule)
+    return lam * plus + (1.0 - lam) * minus
 
 
 def density_lower(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 (|F w|^m - 1)_+): the lower bound density."""
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    return float(_sphere_average(_canonical_gram(F[None]), phi, m, q, lower=True)[0])
+    return float(_sphere_average(_canonical_rows(F[None]), phi, m, _monomial_rule(q),
+                                 lower=True)[0])
 
 
 def density_tilde(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 | |F w|^m - 1 |)."""
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    return float(_sphere_average(_canonical_gram(F[None]), phi, m, q)[0])
+    return float(_sphere_average(_canonical_rows(F[None]), phi, m, _monomial_rule(q))[0])
 
 
 def closed_form_tilde_2d(F) -> float:
@@ -96,17 +148,20 @@ def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
 def density_lower_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_lower over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_gram(np.asarray(Fs, dtype=float)), phi, m, q, lower=True)
+    return _sphere_average(_gram_rows(np.asarray(Fs, dtype=float)), phi, m,
+                           _monomial_rule(q), lower=True)
 
 
 def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_tilde over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_gram(np.asarray(Fs, dtype=float)), phi, m, q)
+    return _sphere_average(_gram_rows(np.asarray(Fs, dtype=float)), phi, m,
+                           _monomial_rule(q))
 
 
-#: laminate candidates evaluated per batch, bounding the (B, Q) temporaries
-_LAMINATE_CHUNK = 16384
+#: laminate candidates times quadrature nodes per batch: bounds the (B, Q)
+#: temporaries, and a batch that fits in cache beats a larger one
+_LAMINATE_CHUNK = 2**16
 
 
 @dataclass
@@ -136,40 +191,43 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape != (2, 2):
         raise ValueError("laminate search supports d = 2 only")
-    F = np.diag(np.linalg.svd(F, compute_uv=False))
-    return _laminate_upper(F, phi, m, q, search, density_lower(F, phi, m, q),
+    sig = np.linalg.svd(F, compute_uv=False)
+    F = np.diag(sig)
+    return _laminate_upper(sig, phi, m, q, search, density_lower(F, phi, m, q),
                            density_tilde(F, phi, m, q))
 
 
-def _laminate_upper(F: np.ndarray, phi: Potential, m: float, q: SphereQuadrature,
-                    search: LaminateSearch | None, lower_F: float,
-                    tilde_F: float) -> float:
-    """The laminate search at F = diag(sigma), capped by ``tilde_F`` and
+def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
+                    q: SphereQuadrature, search: LaminateSearch | None,
+                    lower_F: float, tilde_F: float) -> float:
+    """The laminate search at F = diag(sig), capped by ``tilde_F`` and
     checked against ``lower_F``, the two averages at the same matrix."""
     if search is None:
         search = LaminateSearch()
     lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
     mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
     angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
+    rule = _monomial_rule(q)
 
     def evaluate(lams, mags, angs_a, angs_n):
-        lam, mag, aa, an = np.meshgrid(lams, mags, angs_a, angs_n, indexing="ij")
-        lam, mag, aa, an = (x.ravel() for x in (lam, mag, aa, an))
+        # the (a, n) terms are shared by every lam; candidates run in the
+        # order of a flat (lam, mag, ang_a, ang_n) grid, and the first
+        # minimum wins
+        mag, aa, an = (x.ravel() for x in
+                       np.meshgrid(mags, angs_a, angs_n, indexing="ij"))
         a = mag[:, None] * np.stack([np.cos(aa), np.sin(aa)], axis=-1)
-        nvec = np.stack([np.cos(an), np.sin(an)], axis=-1)
-        rank1 = a[:, :, None] * nvec[:, None, :]
-        best_val, best_idx = np.inf, 0
-        for start in range(0, len(lam), _LAMINATE_CHUNK):
-            sl = slice(start, start + _LAMINATE_CHUNK)
-            lam_c = lam[sl]
-            plus = F + (1.0 - lam_c)[:, None, None] * rank1[sl]
-            minus = F - lam_c[:, None, None] * rank1[sl]
-            vals = (lam_c * _sphere_average(_gram(plus), phi, m, q)
-                    + (1.0 - lam_c) * _sphere_average(_gram(minus), phi, m, q))
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val, best_idx = float(vals[k]), start + k
-        return best_val, (lam[best_idx], mag[best_idx], aa[best_idx], an[best_idx])
+        lin, quad = _rank_one_terms(sig, a, np.stack([np.cos(an), np.sin(an)], axis=-1))
+        chunk = max(1, _LAMINATE_CHUNK // len(q.weights))
+        best_val, best = np.inf, (lams[0], mag[0], aa[0], an[0])
+        for lam in lams:
+            for start in range(0, len(mag), chunk):
+                sl = slice(start, start + chunk)
+                vals = _laminate_values(sig, lam, lin[sl], quad[sl], phi, m, rule)
+                k = int(np.argmin(vals))
+                if vals[k] < best_val:
+                    best_val, k = float(vals[k]), start + k
+                    best = (lam, mag[k], aa[k], an[k])
+        return best_val, best
 
     best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
     dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
@@ -221,8 +279,7 @@ def compute_bounds(F, phi: Potential, m: float, order: int = 256,
     tilde = density_tilde(F, phi, m, q)
     if with_laminate and d == 2:
         # the averages at F equal those at diag(sigma(F)) up to rounding
-        lam = _laminate_upper(np.diag(singular_values(F)), phi, m, q, search,
-                              lower, tilde)
+        lam = _laminate_upper(singular_values(F), phi, m, q, search, lower, tilde)
     else:
         lam = tilde
     return DensityBounds(F, lower, tilde, lam, phi.p, m, order)
@@ -243,7 +300,7 @@ def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,
         G = rng.standard_normal((d, d))
         norms[k] = rng.uniform(2.0, 50.0)
         Fs[k] = G * (norms[k] / np.linalg.norm(G))
-    lhs = _sphere_average(_canonical_gram(Fs), phi, m, q, lower=True)
+    lhs = _sphere_average(_canonical_rows(Fs), phi, m, _monomial_rule(q), lower=True)
     return 0.99 * float(np.min(lhs / (norms**phi.p - 1.0)))
 
 

@@ -284,7 +284,8 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
 
     Tags: ``mbm`` (brittle, quadratic below a strain threshold s0),
     ``mbm_smooth`` (the unbroken quadratic branch), ``modified_mbm``
-    (force weakens smoothly), ``cohesive`` (bounded profile f of r*s^2),
+    (force weakens smoothly), ``cohesive`` (bounded profile f of r*s^2,
+    x / (1 + x) unless ``f`` is given, with ``fprime0`` = f'(0)),
     ``quartic`` (stretch-quartic (t^2-1)^2 written in strain variables),
     ``two_well`` (wells at 0 and s0).
     """
@@ -328,9 +329,11 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
         f = params.get("f")
         fprime0 = params.get("fprime0", 1.0)
         if f is None:
+            if "fprime0" in params:
+                raise ValueError("cohesive: fprime0 describes a given f and needs one")
+
             def f(x):  # bounded, concave, f(0)=0, f'(0)=1
                 return x / (1.0 + x)
-            fprime0 = 1.0
 
         def psi(r, s):
             r = np.asarray(r, dtype=float)

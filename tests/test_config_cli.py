@@ -109,9 +109,15 @@ class TestSchema:
          "laminate.n_values"),
         (with_keys(GOOD_LINEARIZE, "micropotential", s0="abc"), "micropotential.s0"),
         (with_keys(GOOD_LINEARIZE, "micropotential", zeta=1.0), "zeta"),
+        (with_keys(GOOD_LINEARIZE, "micropotential", tag="modified_mbm", s0=0),
+         "micropotential.s0"),
+        (with_keys(GOOD_LINEARIZE, "micropotential", tag="mbm", c=-2), "micropotential.c"),
+        # a config cannot pass the profile f that fprime0 describes
+        (with_keys(GOOD_LINEARIZE, "micropotential", tag="cohesive", fprime0=7.0),
+         "fprime0"),
     ], ids=["misspelled-order", "misspelled-laminate-search", "string-bool",
             "mixed-d-matrices", "bool-in-n-values", "non-numeric-param",
-            "undeclared-param"])
+            "undeclared-param", "zero-s0", "negative-c", "fprime0-without-f"])
     def test_rejected(self, tmp_path, cfg, word):
         with pytest.raises(ConfigError) as exc:
             validate_config(parse_config(write(tmp_path, "c.json", cfg)))

@@ -159,6 +159,67 @@ class TestSphereAverageEquivalence:
                     assert abs(got - ref) <= tol, (F, lower, got, ref)
 
 
+class TestLaminateFastPath:
+    """The node halving and the closed-form candidate Grams of the laminate
+    search, each against the explicit computation it stands for."""
+
+    @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2], ids=lambda p: p.name)
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_odd_order_keeps_the_full_rule(self, phi, m):
+        # at an odd order no node has its antipode in the rule
+        q = sphere_quadrature(2, 21)
+        assert peribond.density._monomial_rule(q)[0].shape == (3, 21)
+        assert peribond.density._monomial_rule(sphere_quadrature(2, 20))[0].shape == (3, 10)
+        Fs = equivalence_matrices(2)
+        batch = density_tilde_batch(Fs, phi, m, q)
+        for k, F in enumerate(Fs):
+            canon = np.diag(singular_values(F))
+            ref = reference_average(canon, phi, m, q, False)
+            tol = 1e-12 * ref + 1e-20
+            assert abs(density_tilde(F, phi, m, q) - ref) <= tol
+            assert abs(density_lower(F, phi, m, q)
+                       - reference_average(canon, phi, m, q, True)) <= tol
+            ref = reference_average(F, phi, m, q, False)
+            assert abs(batch[k] - ref) <= 1e-12 * ref + 1e-20
+
+    @staticmethod
+    def candidates(seed, count):
+        rng = np.random.default_rng(seed)
+        sig = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 2))
+        lam = rng.uniform(0.0, 1.0, count)
+        th_a, th_n = rng.uniform(0.0, 2 * np.pi, (2, count))
+        a = rng.uniform(0.0, 2.0, count)[:, None] * np.stack([np.cos(th_a), np.sin(th_a)], -1)
+        n = np.stack([np.cos(th_n), np.sin(th_n)], -1)
+        return sig, lam, a, n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_rows_match_explicit_matrices(self, seed):
+        sig, lam, a, n = self.candidates(seed, 64)
+        lin, quad = peribond.density._rank_one_terms(sig, a, n)
+        base = np.array([sig[0] ** 2, 0.0, sig[1] ** 2])
+        rank1 = a[:, :, None] * n[:, None, :]
+        for s in (1.0 - lam, -lam):
+            rows = base + s[:, None] * lin + (s * s)[:, None] * quad
+            want = peribond.density._gram_rows(np.diag(sig) + s[:, None, None] * rank1)
+            np.testing.assert_allclose(rows, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    def test_candidate_value_matches_reference(self, phi, m):
+        sig, lam, a, n = self.candidates(11, 4)
+        q = sphere_quadrature(2, 32)
+        lin, quad = peribond.density._rank_one_terms(sig, a, n)
+        for k in range(4):
+            got = peribond.density._laminate_values(
+                sig, lam[k], lin[k:k + 1], quad[k:k + 1], phi, m,
+                peribond.density._monomial_rule(q))[0]
+            rank1 = np.outer(a[k], n[k])
+            F = np.diag(sig)
+            want = (lam[k] * reference_average(F + (1 - lam[k]) * rank1, phi, m, q, False)
+                    + (1 - lam[k]) * reference_average(F - lam[k] * rank1, phi, m, q, False))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-20)
+
+
 class TestFrameIndifference:
     def test_depends_only_on_singular_values(self):
         # scalar bounds canonicalize to diag(sigma), so two-sided rotations

@@ -139,6 +139,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_potential("nope")
 
+    def test_cohesive_fprime0_needs_its_profile(self):
+        with pytest.raises(ValueError, match="fprime0"):
+            catalog_potential("cohesive", fprime0=7.0)
+        w = catalog_potential("cohesive", f=lambda x: 7.0 * x / (1.0 + x), fprime0=7.0)
+        assert w.psi_ss0(np.array([0.5]))[0] == pytest.approx(7.0)
+        assert (w.c1, w.c2) == (7.0 / 4, 28.0)
+
 
 class TestRescaledMicroEnergy:
     def test_converges_to_quadratic_integrand(self):
