@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -278,6 +278,56 @@ def _load_term(u: VectorField, l: VectorField | None) -> float:
     return float(u.grid.cell_volume * np.sum(l.values * u.values))
 
 
+def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: float | None,
+                     rho: Callable[[np.ndarray], np.ndarray] | Kernel | None = None,
+                     w: MicroPotential | None = None, m: float = 1.0,
+                     eps_list: Sequence[float] = ()) -> tuple[PairSet, float, list]:
+    """One pass over the bonds of the linearization table.
+
+    Returns the pairs, the double sum of rho(|xi|) ((u(x + xi) - u(x)) . xi /
+    |xi|^2)^2 (0 without ``rho``) and, per eps, eps^-2 times the double sum of
+    w(xi, s_m[x + eps u]).  A bond whose deformed length vanishes puts the
+    strain on the boundary of its domain: that eps gets the
+    :class:`StrainDomainError` naming the first such bond in offset-major,
+    node-minor order and takes no further work.  Each number is bit-identical
+    to a pass of its own.
+    """
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
+    g = u.grid
+    if pairs is None:
+        if support_radius is None:
+            support_radius = getattr(rho, "support_radius", None)
+            if support_radius is None:
+                raise ValueError("support_radius required for a bare profile")
+        pairs = build_pairs(g, None, support_radius)
+    xrho = 0.0
+    totals: list = [0.0] * len(eps_list)
+    for run, du, r in _bond_runs(pairs, u.values):
+        if rho is not None:
+            du_dot = np.einsum("kp,kp->p", du, run.per_bond(run.xi)) / r**2
+            xrho += float(np.sum(run.per_bond(rho(run.r)) * du_dot**2))
+            del du_dot  # held through the eps loop, it would raise peak memory
+        for k, eps in enumerate(eps_list):
+            if isinstance(totals[k], StrainDomainError):
+                continue
+            delta = du * eps
+            for o, seg in run.segments(delta):
+                seg += o.xi[:, None]
+            t = _norm(delta) / r
+            del delta, seg  # held while w runs, they would set the pass's peak memory
+            if np.any(t <= 0):
+                i, j = pairs._pair(run, int(np.argmax(t <= 0)))
+                totals[k] = StrainDomainError(
+                    f"bond stretch vanished for node pair ({i}, {j})", pair=(i, j))
+            else:
+                totals[k] += float(np.sum(w(r, strain(m, t))))
+            del t  # held into the next eps, it would raise peak memory
+    w2 = 2.0 * g.cell_volume**2
+    return pairs, w2 * xrho, [s if isinstance(s, StrainDomainError) else w2 * s / eps**2
+                                for s, eps in zip(totals, eps_list)]
+
+
 def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
                  l: VectorField | None = None, support_radius: float = 1.0,
                  pairs: PairSet | None = None) -> EnergyReport:
@@ -288,49 +338,19 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
     boundary of its domain and raises :class:`StrainDomainError`; its ``pair``
     is the first such bond in offset-major, node-minor order.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    g = u.grid
-    if pairs is None:
-        pairs = build_pairs(g, None, support_radius)
-    total = 0.0
-    for run, delta, r in _bond_runs(pairs, u.values):
-        delta *= eps
-        delta += run.per_bond(run.xi)
-        t = _norm(delta) / r
-        bad = t <= 0
-        if np.any(bad):
-            i, j = pairs._pair(run, int(np.argmax(bad)))
-            raise StrainDomainError(f"bond stretch vanished for node pair ({i}, {j})",
-                                    pair=(i, j))
-        total += float(np.sum(w(r, strain(m, t))))
-    value = 2.0 * g.cell_volume**2 * total / eps**2 - _load_term(u, l)
-    return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(g))
-
-
-def _linearized_sum(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
-                    support_radius: float | None,
-                    pairs: PairSet | None) -> tuple[float, PairSet]:
-    """Double sum of rho(|xi|) ((u(x + xi) - u(x)) . xi / |xi|^2)^2 and its pairs."""
-    g = u.grid
-    if pairs is None:
-        if support_radius is None:
-            support_radius = getattr(rho, "support_radius", None)
-            if support_radius is None:
-                raise ValueError("support_radius required for a bare profile")
-        pairs = build_pairs(g, None, support_radius)
-    total = 0.0
-    for run, du, r in _bond_runs(pairs, u.values):
-        du_dot = np.einsum("kp,kp->p", du, run.per_bond(run.xi)) / r**2
-        total += float(np.sum(run.per_bond(rho(run.r)) * du_dot**2))
-    return 2.0 * g.cell_volume**2 * total, pairs
+    pairs, _, (value,) = _linearized_pass(u, pairs, support_radius, w=w, m=m,
+                                          eps_list=(eps,))
+    if isinstance(value, StrainDomainError):
+        raise value
+    return EnergyReport(float(value - _load_term(u, l)), 2 * len(pairs), pairs.n_active,
+                        _mean_h(u.grid))
 
 
 def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
               l: VectorField | None = None, support_radius: float | None = None,
               pairs: PairSet | None = None) -> EnergyReport:
     """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
-    double, pairs = _linearized_sum(u, rho, support_radius, pairs)
+    pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
     value = 0.5 * double - _load_term(u, l)
     return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(u.grid))
 
@@ -350,4 +370,4 @@ def seminorm_Xrho(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kern
                   support_radius: float | None = None,
                   pairs: PairSet | None = None) -> float:
     """Squared seminorm of the linearized space: double sum of rho (Du . Di)^2."""
-    return float(_linearized_sum(u, rho, support_radius, pairs)[0])
+    return float(_linearized_pass(u, pairs, support_radius, rho)[1])

@@ -101,7 +101,7 @@ def power_potential(p: float, scale: float = 1.0) -> Potential:
     return Potential(
         name=f"power(p={p}, scale={scale})",
         func=lambda a, s=scale, q=p: s * a**q,
-        deriv=lambda a, s=scale, q=p: s * q * np.where(a > 0, a, 1.0) ** (q - 1) * (a > 0),
+        deriv=lambda a, s=scale, q=p: s * q * np.maximum(a, 0.0) ** (q - 1),
         p=p, C0=scale, C1=scale,
         smooth_at_zero=True,
         params={"p": p, "scale": scale},

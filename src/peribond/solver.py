@@ -17,8 +17,8 @@ import numpy as np
 
 from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
-from .energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
-                     energy_E_eps, energy_gradient_Fn)
+from .energy import (PairSet, StrainDomainError, _linearized_pass, _load_term,
+                     build_pairs, energy_gradient_Fn)
 from .grids import (Grid, SubdomainMask, VectorField, box_grid, full_mask,
                     sphere_quadrature)
 from .kernels import Kernel, KernelSequence, derived_interaction_kernel
@@ -239,23 +239,22 @@ def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
                              support_radius: float = 1.0) -> LinearizationTable:
     """Convergence of the rescaled energies to the quadratic limit at fixed u.
 
-    Evaluates E_eps(u) for each eps and compares against the quadratic energy
-    built from the interaction kernel of w; rows where a bond leaves the
-    admissible strain domain are flagged and excluded from the rate fit.
+    Evaluates E_eps(u) for each eps and the quadratic energy built from the
+    interaction kernel of w in one pass over the bonds and compares them;
+    rows where a bond leaves the admissible strain domain are flagged and
+    excluded from the rate fit.
     """
-    grid = u.grid
-    pairs = build_pairs(grid, None, support_radius)
-    rho = derived_interaction_kernel(w)
-    E0 = energy_E0(u, rho, l, support_radius, pairs=pairs).value
+    _, double, values = _linearized_pass(u, None, support_radius, derived_interaction_kernel(w),
+                                         w, m, eps_list)
+    load = _load_term(u, l)
+    E0 = 0.5 * double - load
     rows = []
-    for eps in eps_list:
-        try:
-            val = energy_E_eps(u, w, m, eps, l, support_radius, pairs=pairs).value
-            rows.append(LinearizationRow(float(eps), float(val),
-                                         abs(val - E0), False))
-        except StrainDomainError:
-            rows.append(LinearizationRow(float(eps), float("nan"),
-                                         float("nan"), True))
+    for eps, val in zip(eps_list, values):
+        if isinstance(val, StrainDomainError):
+            rows.append(LinearizationRow(float(eps), float("nan"), float("nan"), True))
+        else:
+            val -= load
+            rows.append(LinearizationRow(float(eps), float(val), abs(val - E0), False))
     good = [(r.eps, r.abs_err) for r in rows if not r.flagged and r.abs_err > 0]
     slope = None
     if len(good) >= 2:

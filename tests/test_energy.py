@@ -10,9 +10,11 @@ from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask,
                             unit_interval_grid)
-from peribond.kernels import box_kernel, custom_radial, make_rescaled
+from peribond.kernels import (box_kernel, custom_radial, derived_interaction_kernel,
+                              make_rescaled)
 from peribond.materials import (catalog_potential, huber_power, power_potential,
                                 strain, tabulated_potential)
+from peribond.solver import linearization_experiment
 
 
 def brute_force_pairs(grid, radius):
@@ -441,6 +443,85 @@ class TestEEps:
         with_l = energy_E_eps(u, w, 1.0, 0.1, l=l, support_radius=0.2).value
         without_l = energy_E_eps(u, w, 1.0, 0.1, support_radius=0.2).value
         assert with_l == pytest.approx(without_l - 2.0, rel=1e-12)
+
+
+class TestLinearizationPass:
+    """linearization_experiment computes E0 and every E_eps in one pass over
+    the bonds; each number equals the single-eps call exactly."""
+
+    EPS = (0.2, 0.1, 0.05)
+
+    @pytest.mark.parametrize("load", [False, True])
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    @pytest.mark.parametrize("tag", ["quartic", "cohesive", "mbm", "two_well"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_equal_single_calls_and_reference(self, d, tag, m, load):
+        n, radius = TestStencilEquivalence.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        rng = np.random.default_rng(80 + d)
+        x = g.nodes()
+        u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
+        l = VectorField(g, rng.standard_normal(x.shape)) if load else None
+        w = catalog_potential(tag)
+        rho = derived_interaction_kernel(w)
+        tab = linearization_experiment(u, w, m, self.EPS, l=l, support_radius=radius)
+
+        pairs = build_pairs(g, None, radius)
+        assert tab.E0 == energy_E0(u, rho, l, radius, pairs=pairs).value
+        assert [r.eps for r in tab.rows] == list(self.EPS)
+        for row in tab.rows:
+            assert not row.flagged
+            assert row.E_eps == energy_E_eps(u, w, m, row.eps, l, radius, pairs=pairs).value
+
+        ref = PerPairReference(g, np.ones(g.n_nodes, dtype=bool), radius)
+        f = 0.0 if l is None else g.cell_volume * np.sum(l.values * u.values)
+        xr = ref.seminorm_Xrho(u, rho)
+        assert abs(tab.E0 - (0.5 * xr - f)) <= 1e-13 * (0.5 * xr + abs(f))
+        for row in tab.rows:
+            e = ref.energy_E_eps(u, w, m, row.eps)
+            assert abs(row.E_eps - (e - f)) <= 1e-13 * (abs(e) + abs(f))
+
+    def test_collapsed_eps_is_flagged_alone(self):
+        # at eps = 1/2 the bond (a, a + 1) along offset (0, 1) collapses, and
+        # so does (b, b + 64) along (1, 0), which a later run of offsets holds;
+        # the flagged eps keeps the first, the rows beside it are untouched
+        g = box_grid(2, 0.0, 1.0, 64)
+        h, radius, a, b = 1.0 / 64, 0.1, 20 * 64 + 30, 40 * 64 + 10
+        pairs = build_pairs(g, None, radius)
+        first = [tuple(o.xi) for o in pairs._runs[0].offsets]
+        assert (0.0, h) in first and (h, 0.0) not in first
+        vals = np.zeros((g.n_nodes, 2))
+        vals[a + 1] = [0.0, -2.0 * h]
+        vals[b + 64] = [-2.0 * h, 0.0]
+        u = VectorField(g, vals)
+        w = catalog_potential("quartic")
+        with pytest.raises(StrainDomainError) as info:
+            energy_E_eps(u, w, 1.0, 0.5, support_radius=radius)
+        assert info.value.pair == (a, a + 1)
+        tab = linearization_experiment(u, w, 1.0, (0.7, 0.5, 0.3), support_radius=radius)
+        assert [r.flagged for r in tab.rows] == [False, True, False]
+        assert np.isnan(tab.rows[1].E_eps) and np.isnan(tab.rows[1].abs_err)
+        alone = linearization_experiment(u, w, 1.0, (0.7, 0.3), support_radius=radius)
+        assert (tab.E0, tab.rows[0], tab.rows[2]) == (alone.E0, *alone.rows)
+        for row in alone.rows:
+            assert row.E_eps == energy_E_eps(u, w, 1.0, row.eps, support_radius=radius).value
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01])
+    def test_nonpositive_eps_rejected_before_bond_work(self, bad, monkeypatch):
+        import peribond.energy
+
+        def no_bond_work(*args, **kwargs):
+            raise AssertionError("bond work started")
+
+        g = unit_interval_grid(16)
+        u = field_from_function(g, lambda x: x**2)
+        w = catalog_potential("quartic")
+        monkeypatch.setattr(peribond.energy, "build_pairs", no_bond_work)
+        monkeypatch.setattr(peribond.energy, "_bond_runs", no_bond_work)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            linearization_experiment(u, w, 1.0, [0.1, 0.05, bad, 0.01], support_radius=0.2)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            energy_E_eps(u, w, 1.0, bad, support_radius=0.2)
 
 
 class TestSeminorms:

@@ -77,6 +77,18 @@ class TestPotentials:
         assert phi(2.0) == pytest.approx(4.0)
         assert phi.d(3.0) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    def test_power_derivative_matches_guarded_form(self, p):
+        # Phi'(a) = s p max(a, 0)^(p-1) equals the form that guarded a <= 0
+        # with a where/mask pair, bit for bit, 0 and negative a included
+        a = np.concatenate([np.linspace(-2.0, 3.0, 1001), [0.0, 5e-324, 1e-300, 1e100],
+                            -np.logspace(-300, 2, 50), np.logspace(-300, 2, 50)])
+        for scale in (1.0, 4.0):
+            old = scale * p * np.where(a > 0, a, 1.0) ** (p - 1) * (a > 0)
+            got = power_potential(p, scale).d(a)
+            assert got.tobytes() == old.tobytes()
+            assert power_potential(p, scale).d(0.0) == 0.0
+
     def test_quartic_is_scaled_square(self):
         phi = quartic_potential()
         assert phi(0.5) == pytest.approx(1.0)
