@@ -159,20 +159,35 @@ def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                            _monomial_rule(q))
 
 
-#: laminate candidates times quadrature nodes per batch: bounds the (B, Q)
-#: temporaries, and a batch that fits in cache beats a larger one
-_LAMINATE_CHUNK = 2**16
+#: laminate candidates times kept quadrature nodes per batch: bounds the
+#: (B, Q) temporaries, and a batch that fits in cache beats a larger one
+_LAMINATE_CHUNK = 2**14
 
 
 @dataclass
 class LaminateSearch:
-    """Brute-force grid for the first-order laminate upper bound (d = 2)."""
+    """Brute-force grid for the first-order laminate upper bound (d = 2).
+
+    The coarse grid crosses the volume fractions ``linspace(0, 1,
+    n_lambda)[1:-1]``, ``n_mag`` lengths of a and the angle pairs (kpi/n_angle)
+    of a and n, one per mirror orbit (see ``_laminate_upper``); each
+    refinement round is a whole 7^4 grid around the best candidate.
+    """
 
     n_lambda: int = 17
     n_mag: int = 12
     max_mag: float = 2.0
     n_angle: int = 32
     refine_rounds: int = 2
+
+
+def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angle-index pairs (k_a, k_n) that the coarse laminate grid keeps:
+    of each pair and its mirror ((-k_a) mod n, (-k_n) mod n), the one with the
+    smaller k_a n + k_n, in that order."""
+    ka, kn = np.divmod(np.arange(n * n), n)
+    keep = ka * n + kn <= (-ka) % n * n + (-kn) % n
+    return ka[keep], kn[keep]
 
 
 def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
@@ -201,23 +216,34 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
                     q: SphereQuadrature, search: LaminateSearch | None,
                     lower_F: float, tilde_F: float) -> float:
     """The laminate search at F = diag(sig), capped by ``tilde_F`` and
-    checked against ``lower_F``, the two averages at the same matrix."""
+    checked against ``lower_F``, the two averages at the same matrix.
+
+    The coarse grid is evaluated once per mirror orbit of its angle pairs.
+    R = diag(1, -1) fixes diag(sig), so R (F + s a (x) n) R = F + s Ra (x) Rn
+    has the singular values of F + s a (x) n and each candidate the value of
+    its reflection.  On the angles kpi/n, R takes the candidate of the pair
+    (k_a, k_n) to that of ((-k_a) mod n, (-k_n) mod n), or to its negative
+    when exactly one index is 0; value(lam, -a (x) n) = value(1 - lam,
+    a (x) n) covers that case, but needs the grid of lam symmetric about 1/2,
+    as ``linspace(0, 1, n_lambda)[1:-1]`` is.  The refinement rounds are
+    evaluated whole.
+    """
     if search is None:
         search = LaminateSearch()
     lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
     mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
     angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
     rule = _monomial_rule(q)
+    chunk = max(1, _LAMINATE_CHUNK // len(rule[1]))
 
-    def evaluate(lams, mags, angs_a, angs_n):
-        # the (a, n) terms are shared by every lam; candidates run in the
-        # order of a flat (lam, mag, ang_a, ang_n) grid, and the first
-        # minimum wins
-        mag, aa, an = (x.ravel() for x in
-                       np.meshgrid(mags, angs_a, angs_n, indexing="ij"))
+    def evaluate(lams, mags, aa, an):
+        # aa[k] and an[k] are the angles of a and n of one pair; the (a, n)
+        # terms are shared by every lam, candidates run in the order of a
+        # flat (lam, mag, pair) grid, and the first minimum wins
+        mag = np.repeat(mags, len(aa))
+        aa, an = np.tile(aa, len(mags)), np.tile(an, len(mags))
         a = mag[:, None] * np.stack([np.cos(aa), np.sin(aa)], axis=-1)
         lin, quad = _rank_one_terms(sig, a, np.stack([np.cos(an), np.sin(an)], axis=-1))
-        chunk = max(1, _LAMINATE_CHUNK // len(q.weights))
         best_val, best = np.inf, (lams[0], mag[0], aa[0], an[0])
         for lam in lams:
             for start in range(0, len(mag), chunk):
@@ -229,16 +255,17 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
                     best = (lam, mag[k], aa[k], an[k])
         return best_val, best
 
-    best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
+    ka, kn = _mirror_orbit_pairs(search.n_angle)
+    best, (bl, bm, ba, bn) = evaluate(lams, mags, angs[ka], angs[kn])
     dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
     dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
     da = angs[1] - angs[0]
     for _ in range(search.refine_rounds):
         lams_r = np.clip(bl + np.linspace(-dl, dl, 7), 1e-3, 1 - 1e-3)
         mags_r = np.clip(bm + np.linspace(-dm, dm, 7), 1e-6, None)
-        angs_a = ba + np.linspace(-da, da, 7)
-        angs_n = bn + np.linspace(-da, da, 7)
-        val, (bl, bm, ba, bn) = evaluate(lams_r, mags_r, angs_a, angs_n)
+        aa, an = np.meshgrid(ba + np.linspace(-da, da, 7),
+                             bn + np.linspace(-da, da, 7), indexing="ij")
+        val, (bl, bm, ba, bn) = evaluate(lams_r, mags_r, aa.ravel(), an.ravel())
         best = min(best, val)
         dl, dm, da = dl / 3, dm / 3, da / 3
 

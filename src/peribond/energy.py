@@ -228,24 +228,28 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
         rho = run.per_bond(kernel(run.r))
         if energy:
             total += float(np.sum(rho * phi(a)))
-        if not gradient:
-            continue
-        # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place: each
-        # per-bond temporary held across a run raises peak memory
-        coeff = w2 * rho
-        coeff *= phi.d(a)
-        coeff *= sign
-        if m != 1:
-            coeff *= t ** (m - 1.0)
-        dv *= np.divide(coeff, norm_dv * r, out=np.zeros_like(norm_dv), where=norm_dv > 0)
-        for o, seg in run.segments(dv):
-            if o.keep is None:
-                block = seg.reshape(g.dim, *o.shape)
-            else:
-                block = np.zeros((g.dim, *o.shape))
-                block.reshape(g.dim, -1)[:, o.keep] = seg
-            out[(_ALL, *o.dst)] += block
-            out[(_ALL, *o.src)] -= block
+        if gradient:
+            # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place:
+            # each per-bond temporary held across a run raises peak memory
+            coeff = w2 * rho
+            coeff *= phi.d(a)
+            coeff *= sign
+            if m != 1:
+                coeff *= t ** (m - 1.0)
+            dv *= np.divide(coeff, norm_dv * r, out=np.zeros_like(norm_dv), where=norm_dv > 0)
+            for o, seg in run.segments(dv):
+                if o.keep is None:
+                    block = seg.reshape(g.dim, *o.shape)
+                else:
+                    block = np.zeros((g.dim, *o.shape))
+                    block.reshape(g.dim, -1)[:, o.keep] = seg
+                out[(_ALL, *o.dst)] += block
+                out[(_ALL, *o.src)] -= block
+            del seg, block
+        # the bond block and lengths, the largest of this run's arrays, are
+        # freed before the next run is gathered; freeing every per-bond array
+        # here made the allocator hand the memory back and fault it in again
+        del dv, r
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:
         return None, grad

@@ -120,7 +120,7 @@ def huber_power(p: float, a0: float) -> Potential:
 
     def deriv(a):
         a = np.asarray(a, dtype=float)
-        return np.where(a <= a0, p * np.where(a > 0, a, 1.0) ** (p - 1) * (a > 0), d0)
+        return np.where(a <= a0, p * np.maximum(a, 0.0) ** (p - 1), d0)
 
     return Potential(f"huber(p={p}, a0={a0})", func, deriv, p, 0.0, 1.0 + phi0,
                      params={"p": p, "a0": a0})

@@ -311,7 +311,7 @@ def test_criterion_09_bounds_invariant_under_orthogonal_sandwich():
 
 # -- 10 ---------------------------------------------------------------------
 
-def test_criterion_10_runner_outputs_deterministic(tmp_path):
+def test_criterion_10_runner_outputs_deterministic(tmp_path, child_env):
     cfg = {"experiment": "density", "seed": 11, "strain_m": 2,
            "potential": {"profile": "power", "p": 2.0},
            "density": {"matrices": [[1.5, 0.2, -0.1, 0.8],
@@ -324,7 +324,7 @@ def test_criterion_10_runner_outputs_deterministic(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "peribond.cli", "run", str(cfg_path),
              "--out", str(out), "--threads", str(threads)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         return ((out / "density.csv").read_bytes(),
                 (out / "summary.json").read_bytes())

@@ -283,12 +283,12 @@ class TestDeterminism:
 
 
 class TestConsoleScript:
-    def test_module_entry_point(self, tmp_path):
+    def test_module_entry_point(self, tmp_path, child_env):
         cfg = write(tmp_path, "c.json", GOOD_SAWTOOTH)
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from peribond.cli import main; sys.exit(main(sys.argv[1:]))",
              "run", cfg, "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0
         assert "pass" in proc.stdout

@@ -220,6 +220,96 @@ class TestLaminateFastPath:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-20)
 
 
+def full_grid_laminate(F, phi, m, q, search):
+    """The laminate search over every angle pair of the coarse grid, with
+    each candidate's two matrices built explicitly and averaged by
+    ``density_tilde_batch``; the same first-minimum rule and refinement."""
+    sig = singular_values(F)
+    D = np.diag(sig)
+
+    def evaluate(lams, mags, angs_a, angs_n):
+        lam, mag, aa, an = (x.ravel() for x in
+                            np.meshgrid(lams, mags, angs_a, angs_n, indexing="ij"))
+        a = mag[:, None] * np.stack([np.cos(aa), np.sin(aa)], -1)
+        n = np.stack([np.cos(an), np.sin(an)], -1)
+        rank1 = a[:, :, None] * n[:, None, :]
+        vals = (lam * density_tilde_batch(D + (1 - lam)[:, None, None] * rank1, phi, m, q)
+                + (1 - lam) * density_tilde_batch(D - lam[:, None, None] * rank1, phi, m, q))
+        k = int(np.argmin(vals))
+        return float(vals[k]), (lam[k], mag[k], aa[k], an[k])
+
+    lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
+    mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
+    angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
+    best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
+    dl, dm, da = lams[1] - lams[0], mags[1] - mags[0], angs[1] - angs[0]
+    for _ in range(search.refine_rounds):
+        step = np.linspace(-1.0, 1.0, 7)
+        val, (bl, bm, ba, bn) = evaluate(np.clip(bl + dl * step, 1e-3, 1 - 1e-3),
+                                         np.clip(bm + dm * step, 1e-6, None),
+                                         ba + da * step, bn + da * step)
+        best = min(best, val)
+        dl, dm, da = dl / 3, dm / 3, da / 3
+    return min(best, density_tilde(D, phi, m, q))
+
+
+class TestLaminateMirrorOrbits:
+    """The coarse laminate grid evaluated once per orbit of the reflection
+    diag(1, -1), against the whole grid."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+    def test_kept_pairs_and_mirrors_cover_the_grid_once(self, n):
+        ka, kn = peribond.density._mirror_orbit_pairs(n)
+        hits = np.zeros((n, n), dtype=int)
+        for pair in zip(ka, kn):
+            for k in {pair, ((-pair[0]) % n, (-pair[1]) % n)}:
+                hits[k] += 1
+        assert np.all(hits == 1)
+        fixed = 1 if n % 2 else 4
+        assert len(ka) == (n * n + fixed) // 2
+        assert np.all(np.diff(ka * n + kn) > 0)
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    def test_mirror_pair_has_the_same_value(self, phi, m):
+        # value(lam, (k_a, k_n)) = value(lam', mirror), with lam' = 1 - lam
+        # when exactly one index is 0, on the candidates of the coarse grid
+        n, sig = 16, np.array([1.7, 0.4])
+        ka, kn = (k.ravel() for k in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        mirror = (-ka) % n * n + (-kn) % n
+        ang = np.pi * np.arange(n) / n
+        a = 0.9 * np.stack([np.cos(ang[ka]), np.sin(ang[ka])], -1)
+        lin, quad = peribond.density._rank_one_terms(
+            sig, a, np.stack([np.cos(ang[kn]), np.sin(ang[kn])], -1))
+        rule = peribond.density._monomial_rule(sphere_quadrature(2, 32))
+        lams = np.linspace(0.0, 1.0, 9)[1:-1]
+        vals = {lam: peribond.density._laminate_values(sig, lam, lin, quad, phi, m, rule)
+                for lam in lams}
+        swap = (ka == 0) != (kn == 0)
+        for lam in lams:
+            other = np.where(swap, vals[1.0 - lam][mirror], vals[lam][mirror])
+            np.testing.assert_allclose(vals[lam], other, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    def test_matches_full_grid(self, phi, m):
+        rng = np.random.default_rng(29)
+        Fs = [rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.5, 1.4, 2)))
+              @ rot(rng.uniform(0, 7)) for _ in range(8)]
+        Fs += [np.diag(s) for s in ([0.5, 0.5], [3.0, 3.0], [1.0, 1.0], [1.0, 0.0],
+                                    [0.0, 0.0])]
+        q = sphere_quadrature(2, 16)
+        s = LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
+        below = 0
+        for F in Fs:
+            tilde = density_tilde(F, phi, m, q)
+            want = full_grid_laminate(F, phi, m, q, s)
+            got = density_laminate_upper(F, phi, m, q, s)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
+            below += want < tilde
+        assert below >= 6  # the search is not merely capped at tilde
+
+
 class TestFrameIndifference:
     def test_depends_only_on_singular_values(self):
         # scalar bounds canonicalize to diag(sigma), so two-sided rotations

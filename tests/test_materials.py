@@ -89,6 +89,17 @@ class TestPotentials:
             assert got.tobytes() == old.tobytes()
             assert power_potential(p, scale).d(0.0) == 0.0
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("a0", [0.3, 1.0, 2.5])
+    def test_huber_derivative_matches_guarded_form(self, p, a0):
+        # below a0, Phi'(a) = p max(a, 0)^(p-1) equals the where/mask form
+        # bit for bit on [0, 2 a0], with 0 and a0 on the grid
+        a = np.concatenate([np.linspace(0.0, 2.0 * a0, 1001), [0.0, a0, 5e-324, 1e-300]])
+        d0 = power_potential(p).d(a0)
+        old = np.where(a <= a0, p * np.where(a > 0, a, 1.0) ** (p - 1) * (a > 0), d0)
+        assert huber_power(p, a0).d(a).tobytes() == old.tobytes()
+        assert huber_power(p, a0).d(0.0) == 0.0
+
     def test_quartic_is_scaled_square(self):
         phi = quartic_potential()
         assert phi(0.5) == pytest.approx(1.0)
