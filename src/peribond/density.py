@@ -180,6 +180,16 @@ class LaminateSearch:
     n_angle: int = 32
     refine_rounds: int = 2
 
+    def __post_init__(self):
+        for name, ok, need in (("n_lambda", self.n_lambda >= 3, ">= 3"),
+                               ("n_mag", self.n_mag >= 1, ">= 1"),
+                               ("max_mag", self.max_mag > 0, "> 0"),
+                               ("n_angle", self.n_angle >= 2, ">= 2"),
+                               ("refine_rounds", self.refine_rounds >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"LaminateSearch.{name} must be {need}, "
+                                 f"got {getattr(self, name)!r}")
+
 
 def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The angle-index pairs (k_a, k_n) that the coarse laminate grid keeps:

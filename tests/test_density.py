@@ -376,6 +376,15 @@ class TestLaminateUpper:
         with pytest.raises(RuntimeError, match="below the lower bound"):
             density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2, s)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_angle", 0), ("n_angle", 1), ("n_lambda", 2), ("n_mag", 0),
+        ("max_mag", 0.0), ("max_mag", -1.0), ("refine_rounds", -1)])
+    def test_search_rejects_degenerate_grid(self, field, value):
+        # each used to end in a bare IndexError or ZeroDivisionError, or to
+        # run on an empty or mirrored grid
+        with pytest.raises(ValueError, match=f"LaminateSearch.{field} must be"):
+            compute_bounds(np.diag([0.5, 0.7]), PHI2, 2.0, order=8,
+                           search=LaminateSearch(**{field: value}))
 
     def test_compute_bounds_evaluates_each_average_once(self, monkeypatch):
         # the laminate search takes compute_bounds' own lower and tilde

@@ -553,3 +553,80 @@ class TestStretches:
         t = stretches(v, pairs)
         expected = np.linalg.norm(pairs.dir @ F.T, axis=1)
         np.testing.assert_allclose(t, expected, rtol=1e-12)
+
+
+class TestIncidencePath:
+    """A pair set of one run gathers and scatters through its signed
+    incidence matrix; every bond sum equals the slice path's bit for bit."""
+
+    @staticmethod
+    def _mask(g, kind, radius):
+        if kind == "full":
+            return full_mask(g, radius)
+        box = box_subdomain(g, 1.5 * g.h[0], collar_width=radius)
+        active = box.active.copy()
+        inner = np.flatnonzero(active)
+        active[inner[len(inner) // 2]] = False  # a hole: offsets get `keep`
+        return SubdomainMask(g, active, radius)
+
+    @pytest.mark.parametrize("kind", ["full", "holed_box"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_slice_path(self, d, kind, monkeypatch):
+        import peribond.energy
+
+        n, radius = TestStencilEquivalence.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        mask = self._mask(g, kind, radius)
+        fast = listed_pairs(g, mask, radius)
+        slow = listed_pairs(g, mask, radius)
+        slow._incidence = None
+        assert len(fast._runs) == 1 and fast._incidence.D.nnz == 2 * len(fast)
+        assert fast._incidence.Dt.nnz == 2 * len(fast)
+        assert (kind == "holed_box") == any(o.keep is not None for o in fast._runs[0].offsets)
+
+        rng = np.random.default_rng(90 + d)
+        x = g.nodes()
+        F = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))
+        vals = x @ F.T + 0.05 * rng.standard_normal(x.shape)
+        vals[fast.j[0]] = vals[fast.i[0]]  # one bond with coincident deformed ends
+        v = VectorField(g, vals)
+        u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
+        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
+        w = catalog_potential("quartic")
+        phi = huber_power(2.0, 0.3)
+
+        def sums(pairs):
+            out = [stretches(v, pairs), seminorm_W(v, kernel, 1.5, pairs=pairs),
+                   seminorm_Xrho(u, kernel, pairs=pairs),
+                   energy_E0(u, kernel, pairs=pairs).value,
+                   energy_E_eps(u, w, 2.0, 0.05, pairs=pairs).value]
+            for m in (1.0, 2.0):
+                rep, grad = energy_gradient_Fn(v, mask, kernel, phi, m, pairs=pairs)
+                out += [rep.value, grad.values,
+                        energy_Fn(v, mask, kernel, phi, m, pairs=pairs).value,
+                        gradient_Fn(v, mask, kernel, phi, m, pairs=pairs).values]
+            monkeypatch.setattr(peribond.energy, "build_pairs", lambda *args: pairs)
+            out.append(repr(linearization_experiment(u, w, 1.0, (0.2, 0.1, 0.05),
+                                                     support_radius=radius)))
+            return out
+
+        for a, b in zip(sums(fast), sums(slow), strict=True):
+            assert np.array_equal(a, b)
+
+        # collapse the bond (i, j) at eps = 1/2: both paths name it
+        k = len(fast) // 2
+        i, j = fast.i[k], fast.j[k]
+        collapse = np.zeros((g.n_nodes, d))
+        collapse[j] = -2.0 * fast._runs[0].per_bond(fast._runs[0].xi)[:, k]
+        u = VectorField(g, collapse)
+        errors = []
+        for pairs in (fast, slow):
+            with pytest.raises(StrainDomainError) as info:
+                energy_E_eps(u, w, 1.0, 0.5, pairs=pairs)
+            errors.append(info.value.pair)
+        assert errors[0] == errors[1] == (i, j)
+
+    def test_selection_by_run_count(self):
+        g = box_grid(2, 0.0, 1.0, 128)
+        pairs = build_pairs(g, box_subdomain(g, 0.05, collar_width=0.04), 0.04)
+        assert len(pairs._runs) > 1 and pairs._incidence is None
