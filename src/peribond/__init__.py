@@ -6,32 +6,25 @@ __version__ = "0.1.0"
 
 from .grids import (Grid, SphereQuadrature, SubdomainMask, VectorField,
                     affine_field, box_grid, box_subdomain, field_from_function,
-                    full_mask, load_field_csv, save_field_csv, sphere_quadrature,
-                    unit_interval_grid)
+                    full_mask, sphere_quadrature, unit_interval_grid)
 from .kernels import (Kernel, KernelSequence, box_kernel, box_sequence,
                       check_assumption_A, check_density_condition, custom_radial,
                       derived_interaction_kernel, fractional_sequence,
-                      make_fractional, make_rescaled, rescaled_sequence,
-                      tabulated_kernel)
+                      make_fractional, make_rescaled, rescaled_sequence)
 from .materials import (CATALOG_TAGS, MicroPotential, Potential,
-                        catalog_potential, convexify_1d, huber_power,
-                        power_potential, quartic_potential, rescaled_micro_energy,
-                        strain, strain_taylor, tabulated_potential)
+                        catalog_potential, huber_power, power_potential,
+                        quartic_potential, strain, tabulated_potential)
 from .energy import (EnergyReport, PairSet, StrainDomainError, build_pairs,
                      energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
                      gradient_Fn, seminorm_W, seminorm_Xrho, stretches)
 from .density import (DensityBounds, LaminateSearch, closed_form_tilde_2d,
-                      compute_bounds, coercivity_check, density_laminate_upper,
-                      density_lower, density_lower_batch, density_tilde,
-                      density_tilde_batch, fit_coercivity_constant,
-                      frame_indifference_check, one_d_exact_density,
-                      singular_values, zero_set_predicate)
-from .constructions import (DecayRigidityVerdict, LaminateSpec, PiolaReport,
-                            RigidityResult, SawtoothEnergy, energy_decay_rigidity,
+                      compute_bounds, density_laminate_upper, density_lower,
+                      density_lower_batch, density_tilde, density_tilde_batch,
+                      one_d_exact_density, singular_values, zero_set_predicate)
+from .constructions import (LaminateSpec, RigidityResult, SawtoothEnergy,
                             laminate_energy_decay, laminate_field,
-                            laminate_profile, piola_rigidity_check,
-                            rigidity_reconstruct, sawtooth_energy, sawtooth_field,
-                            sawtooth_value)
+                            laminate_profile, rigidity_reconstruct,
+                            sawtooth_energy, sawtooth_field, sawtooth_value)
 from .solver import (DirichletProblem, LinearizationTable, MinimizeResult,
                      SolverSettings, linearization_experiment,
                      localization_experiment, minimize_Fng, minimize_multistart)

@@ -2,10 +2,8 @@
 
 Contains the one-dimensional sawtooth family (uniformly vanishing fields
 whose nonlocal energy also vanishes under a coupled horizon), multi-axis
-laminates whose gradients are orthogonal almost everywhere, and three
-rigidity checks: constructive reconstruction of an isometry, rigidity of
-energy-decaying sequences, and a finite-difference check based on the Piola
-identity.
+laminates whose gradients are orthogonal almost everywhere, and the
+constructive reconstruction of an isometry.
 """
 
 from __future__ import annotations
@@ -15,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .energy import EnergyReport, PairSet, build_pairs, energy_Fn
+from .energy import energy_Fn
 from .grids import Grid, SubdomainMask, VectorField, box_grid, full_mask
-from .kernels import Kernel, box_kernel, make_rescaled
+from .kernels import box_kernel, make_rescaled
 from .materials import Potential, power_potential
 
 
@@ -249,94 +247,3 @@ def rigidity_reconstruct(v: VectorField, R: float,
     residual = float(np.max(np.abs(dist_v - dist_x))) if len(ii) else 0.0
     defect = float(np.max(np.abs(F.T @ F - np.eye(d))))
     return RigidityResult(F, b, residual, defect)
-
-
-@dataclass(frozen=True)
-class DecayRigidityVerdict:
-    verdict: str  # "rigid", "not-rigid", or "inconclusive"
-    energies: np.ndarray
-    l1_distances: np.ndarray
-    terminal: RigidityResult | None
-
-
-def energy_decay_rigidity(v_seq: Sequence[VectorField], kernel: Kernel,
-                          phi: Potential, m: float = 1.0, R: float | None = None,
-                          tol: float | None = None) -> DecayRigidityVerdict:
-    """Rigidity check for a sequence whose energies decay under a fixed kernel.
-
-    If the energy trace is decreasing toward zero and the fields are Cauchy
-    in discrete L^1, the terminal field is reconstructed; the verdict is
-    "rigid" when it is an isometry to tolerance.  A non-decreasing trace is
-    inconclusive: nothing about the limit can be inferred.
-    """
-    grid = v_seq[0].grid
-    A = full_mask(grid)
-    pairs = build_pairs(grid, A, kernel.support_radius)
-    energies = np.array([
-        energy_Fn(v, A, kernel, phi, m, pairs=pairs).value for v in v_seq
-    ])
-    l1 = np.array([
-        grid.cell_volume * np.sum(np.abs(v_seq[i + 1].values - v_seq[i].values))
-        for i in range(len(v_seq) - 1)
-    ])
-    if np.any(np.diff(energies) > 1e-12) or energies[-1] > energies[0] * 0.5 + 1e-12:
-        return DecayRigidityVerdict("inconclusive", energies, l1, None)
-    if R is None:
-        R = 0.25 * float(np.min(grid.extent))
-    rec = rigidity_reconstruct(v_seq[-1], R)
-    h = float(np.mean(grid.h))
-    tol = tol if tol is not None else max(100.0 * h, 1e-6)
-    verdict = "rigid" if (rec.orthogonality_defect <= tol and rec.residual <= tol) else "not-rigid"
-    return DecayRigidityVerdict(verdict, energies, l1, rec)
-
-
-@dataclass(frozen=True)
-class PiolaReport:
-    max_metric_defect: float   # max |grad(v)^T grad(v) - I|
-    max_laplacian: float       # max |component Laplacian|
-    max_second_derivative: float
-
-
-def piola_rigidity_check(v: VectorField, exclude: np.ndarray | None = None) -> PiolaReport:
-    """Finite-difference check that metric-preserving fields are affine.
-
-    For smooth v with grad(v)^T grad(v) = I the trace |grad v|^2 = d is
-    constant, each component is harmonic by the Piola identity, and all
-    second derivatives vanish.  Central differences on interior nodes report
-    the three maxima; optional ``exclude`` masks nodes (e.g. breakpoint
-    cells of piecewise-affine fields) from the maxima.
-    """
-    g = v.grid
-    d = g.dim
-    shape = g.n_cells
-    vals = v.values.reshape(*shape, d)
-    h = g.h
-    grads = np.gradient(vals, *h, axis=tuple(range(d)), edge_order=2)
-    grads = [np.asarray(gr) for gr in np.atleast_1d(grads)] if d > 1 else [np.asarray(grads)]
-    # metric defect
-    G = np.zeros(shape + (d, d))
-    for a in range(d):
-        for b_ in range(d):
-            for c in range(d):
-                G[..., a, b_] += grads[c][..., a] * grads[c][..., b_]
-    metric = np.abs(G - np.eye(d))
-    # second derivatives of each component along/across each axis
-    second = np.zeros(shape)
-    lap = np.zeros(shape + (d,))
-    for a in range(d):
-        second_a = np.gradient(grads[a], *h, axis=tuple(range(d)), edge_order=2)
-        second_a = [np.asarray(sr) for sr in np.atleast_1d(second_a)] if d > 1 else [np.asarray(second_a)]
-        for b_ in range(d):
-            second = np.maximum(second, np.max(np.abs(second_a[b_]), axis=-1))
-        lap += second_a[a]
-    interior = np.zeros(shape, dtype=bool)
-    interior[(slice(2, -2),) * d] = True
-    if exclude is not None:
-        interior &= ~np.asarray(exclude, dtype=bool).reshape(shape)
-    if not interior.any():
-        raise ValueError("finite-difference stencil has no interior nodes")
-    return PiolaReport(
-        float(np.max(metric[interior])),
-        float(np.max(np.abs(lap)[interior])),
-        float(np.max(second[interior])),
-    )

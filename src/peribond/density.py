@@ -10,7 +10,6 @@ through its singular values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -293,9 +292,6 @@ class DensityBounds:
     lower: float
     tilde: float
     laminate_upper: float
-    p: float
-    m: float
-    quad_order: int
 
     @property
     def sigma(self) -> np.ndarray:
@@ -319,60 +315,4 @@ def compute_bounds(F, phi: Potential, m: float, order: int = 256,
         lam = _laminate_upper(singular_values(F), phi, m, q, search, lower, tilde)
     else:
         lam = tilde
-    return DensityBounds(F, lower, tilde, lam, phi.p, m, order)
-
-
-def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,
-                            order: int = 256, n_samples: int = 64,
-                            seed: int = 1234) -> float:
-    """Fitted constant C with lower-bound density >= C (|F|^p - 1).
-
-    Minimizes the ratio over a sample of matrices with Frobenius norm in
-    [2, 50].
-    """
-    q = sphere_quadrature(d, order)
-    rng = np.random.Generator(np.random.Philox(seed))
-    Fs, norms = np.empty((n_samples, d, d)), np.empty(n_samples)
-    for k in range(n_samples):
-        G = rng.standard_normal((d, d))
-        norms[k] = rng.uniform(2.0, 50.0)
-        Fs[k] = G * (norms[k] / np.linalg.norm(G))
-    lhs = _sphere_average(_canonical_rows(Fs), phi, m, _monomial_rule(q), lower=True)
-    return 0.99 * float(np.min(lhs / (norms**phi.p - 1.0)))
-
-
-def coercivity_check(F, phi: Potential, m: float = 1.0,
-                     q: SphereQuadrature | None = None,
-                     C: Optional[float] = None):
-    """Evaluate both sides of the coercivity inequality with a fitted constant.
-
-    Returns (lhs, rhs, pass).
-    """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    d = F.shape[0]
-    if q is None:
-        q = sphere_quadrature(d, 256)
-    if C is None:
-        C = fit_coercivity_constant(d, phi, m, order=len(q.weights) if d == 2 else 256)
-    lhs = density_lower(F, phi, m, q)
-    rhs = C * (float(np.linalg.norm(F)) ** phi.p - 1.0)
-    return lhs, rhs, bool(lhs >= rhs - 1e-12)
-
-
-def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature,
-                             search: LaminateSearch | None = None) -> float:
-    """Max deviation of the bound sandwich under left rotation F -> U F."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    if np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) > 1e-12:
-        raise ValueError("U must be orthogonal")
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    UF = U @ F
-    devs = [
-        abs(density_lower(F, phi, m, q) - density_lower(UF, phi, m, q)),
-        abs(density_tilde(F, phi, m, q) - density_tilde(UF, phi, m, q)),
-    ]
-    if F.shape == (2, 2):
-        s = search or LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
-        devs.append(abs(density_laminate_upper(F, phi, m, q, s)
-                        - density_laminate_upper(UF, phi, m, q, s)))
-    return float(max(devs))
+    return DensityBounds(F, lower, tilde, lam)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ class EnergyReport:
 
     value: float
     pair_count: int
-    skipped_diagonal: int
     h: float
 
 
@@ -182,10 +182,14 @@ class PairSet:
     def __len__(self) -> int:
         return self._n
 
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """The flat node index of every grid node, in the grid's shape."""
+        return np.arange(self.grid.n_nodes).reshape(self.grid.n_cells)
+
     def _nodes(self, o: _Offset) -> tuple[np.ndarray, np.ndarray]:
         """Flat node indices of one offset's bond tails and heads."""
-        idx = np.arange(self.grid.n_nodes).reshape(self.grid.n_cells)
-        i, j = idx[o.src].ravel(), idx[o.dst].ravel()
+        i, j = self._index[o.src].ravel(), self._index[o.dst].ravel()
         return (i, j) if o.keep is None else (i[o.keep], j[o.keep])
 
     def _pair(self, run: _Run, k: int) -> tuple[int, int]:
@@ -307,7 +311,7 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:
         return None, grad
-    return EnergyReport(w2 * total, 2 * len(pairs), pairs.n_active, _mean_h(g)), grad
+    return EnergyReport(w2 * total, 2 * len(pairs), _mean_h(g)), grad
 
 
 def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -400,8 +404,7 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
                                           eps_list=(eps,))
     if isinstance(value, StrainDomainError):
         raise value
-    return EnergyReport(float(value - _load_term(u, l)), 2 * len(pairs), pairs.n_active,
-                        _mean_h(u.grid))
+    return EnergyReport(float(value - _load_term(u, l)), 2 * len(pairs), _mean_h(u.grid))
 
 
 def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
@@ -410,7 +413,7 @@ def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
     """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
     pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
     value = 0.5 * double - _load_term(u, l)
-    return EnergyReport(float(value), 2 * len(pairs), pairs.n_active, _mean_h(u.grid))
+    return EnergyReport(float(value), 2 * len(pairs), _mean_h(u.grid))
 
 
 def seminorm_W(v: VectorField, kernel: Kernel, p: float,

@@ -7,7 +7,7 @@ evaluates a kernel on the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -183,15 +183,6 @@ def affine_field(grid: Grid, F: np.ndarray, b=None) -> VectorField:
     return VectorField(grid, grid.nodes() @ F.T + b)
 
 
-def difference_quotient(v: VectorField, i: int, j: int) -> np.ndarray:
-    """The vector difference quotient (v(x_j) - v(x_i)) / |x_j - x_i|."""
-    if i == j:
-        raise ValueError("coincident nodes: difference quotient excludes the diagonal")
-    x = v.grid.nodes()
-    dx = x[j] - x[i]
-    return (v.values[j] - v.values[i]) / np.linalg.norm(dx)
-
-
 @dataclass(frozen=True)
 class SphereQuadrature:
     """Normalized quadrature for surface averages over S^{d-1}.
@@ -246,61 +237,3 @@ def sphere_quadrature(d: int, order: int) -> SphereQuadrature:
     else:
         raise ValueError(f"unsupported dimension {d}")
     return SphereQuadrature(d, pts, w)
-
-
-def save_field_csv(path, v: VectorField) -> None:
-    """Write a field in the flat CSV layout: i1,...,id,x1,...,xd,v1,...,vd."""
-    g = v.grid
-    idx = np.stack(
-        np.unravel_index(np.arange(g.n_nodes), g.n_cells), axis=-1
-    )
-    data = np.hstack([idx.astype(float), g.nodes(), v.values])
-    hvals = ",".join(f"{hh:.17g}" for hh in g.h)
-    header = (
-        f"# dim,{g.dim},h,{hvals},n_cells,"
-        + ",".join(str(n) for n in g.n_cells)
-        + ",origin,"
-        + ",".join(f"{o:.17g}" for o in g.origin)
-        + ",extent,"
-        + ",".join(f"{e:.17g}" for e in g.extent)
-    )
-    cols = (
-        [f"i{k+1}" for k in range(g.dim)]
-        + [f"x{k+1}" for k in range(g.dim)]
-        + [f"v{k+1}" for k in range(g.dim)]
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{c:.17g}" for c in row) + "\n")
-
-
-def load_field_csv(path) -> VectorField:
-    """Read a field written by :func:`save_field_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        fh.readline()  # column names
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    tokens = header.lstrip("# ").split(",")
-    vals = {}
-    k = 0
-    while k < len(tokens):
-        key = tokens[k]
-        if key == "dim":
-            vals["dim"] = int(tokens[k + 1])
-            k += 2
-        elif key in ("h", "n_cells", "origin", "extent"):
-            d = vals["dim"]
-            vals[key] = tokens[k + 1 : k + 1 + d]
-            k += 1 + d
-        else:
-            k += 1
-    d = vals["dim"]
-    grid = Grid(
-        d,
-        tuple(float(t) for t in vals["origin"]),
-        tuple(float(t) for t in vals["extent"]),
-        tuple(int(t) for t in vals["n_cells"]),
-    )
-    return VectorField(grid, body[:, 2 * d : 3 * d])

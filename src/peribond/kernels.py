@@ -10,7 +10,7 @@ the positive-exponent form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,9 +73,7 @@ class Kernel:
     family: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    normalization: float = 1.0
     singularity_exponent: float = 0.0
-    params: dict = field(default_factory=dict)
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -103,8 +101,7 @@ def _ball_volume(d: int, radius: float) -> float:
 def box_kernel(d: int, radius: float = 1.0) -> Kernel:
     """Indicator kernel: constant on B(0, radius), normalized to unit mass."""
     c = 1.0 / _ball_volume(d, radius)
-    return Kernel(d, "box", lambda r: np.full_like(r, c), radius,
-                  normalization=c, params={"radius": radius})
+    return Kernel(d, "box", lambda r: np.full_like(r, c), radius)
 
 
 def make_rescaled(base: Kernel, delta: float) -> Kernel:
@@ -122,9 +119,7 @@ def make_rescaled(base: Kernel, delta: float) -> Kernel:
 
     return Kernel(d, f"rescaled({base.family})", profile,
                   support_radius=delta * base.support_radius,
-                  normalization=base.normalization / delta**d,
-                  singularity_exponent=base.singularity_exponent,
-                  params={"base": base.family, "delta": delta, **base.params})
+                  singularity_exponent=base.singularity_exponent)
 
 
 def make_fractional(d: int, s: float, p: float) -> Kernel:
@@ -145,8 +140,7 @@ def make_fractional(d: int, s: float, p: float) -> Kernel:
     def profile(r, _c=c * (1.0 - s), _b=beta):
         return _c * r ** (-_b)
 
-    return Kernel(d, "fractional", profile, 1.0, normalization=c * (1.0 - s),
-                  singularity_exponent=beta, params={"s": s, "p": p})
+    return Kernel(d, "fractional", profile, 1.0, singularity_exponent=beta)
 
 
 def custom_radial(d: int, profile, support_radius: float,
@@ -158,22 +152,7 @@ def custom_radial(d: int, profile, support_radius: float,
         raise ValueError("profile must have positive mass")
     c = 1.0 / raw
     return Kernel(d, family, lambda r: c * np.asarray(profile(r), dtype=float),
-                  support_radius, normalization=c,
-                  singularity_exponent=singularity_exponent)
-
-
-def tabulated_kernel(d: int, r: np.ndarray, rho: np.ndarray) -> Kernel:
-    """Kernel from tabulated (r, rho(r)) samples, linearly interpolated and normalized."""
-    r = np.asarray(r, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("tabulated kernel values must be nonnegative")
-    support = float(r.max())
-
-    def profile(rr):
-        return np.interp(rr, r, rho, left=rho[0], right=0.0)
-
-    return custom_radial(d, profile, support, family="tabulated")
+                  support_radius, singularity_exponent=singularity_exponent)
 
 
 @dataclass(frozen=True)

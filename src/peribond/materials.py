@@ -2,9 +2,7 @@
 
 The nonlinear strain of order m maps the stretch t = |Dv| to (t^m - 1)/m.
 Micro-potentials w(xi, s) = k(xi) * Psi(xi, s) are stored as radial weight
-plus profile; a conformance report records which of the structural conditions
-(zero at rest, vanishing force at rest, Hooke lower bound, bounded curvature,
-positivity away from rest) each catalog entry satisfies.
+plus profile, with the Hooke constants of their small-strain regime.
 """
 
 from __future__ import annotations
@@ -28,29 +26,6 @@ def strain(m: float, t) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def strain_taylor(m: float, nu: np.ndarray, zeta: np.ndarray, eps: float):
-    """Split s_m(|nu + eps*zeta|) into its linear part and scaled remainder.
-
-    Returns ``(eps * nu.zeta, psi)`` where the full strain equals
-    ``eps * nu.zeta + eps**2 * psi``.  At eps = 0 the remainder limit
-    (|zeta|^2 + (m - 2) (nu.zeta)^2) / 2 is returned.
-    """
-    nu = np.asarray(nu, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
-        raise ValueError("nu must be a unit vector")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    a = float(nu @ zeta)
-    linear = eps * a
-    if eps == 0.0:
-        psi = 0.5 * (float(zeta @ zeta) + (m - 2.0) * a * a)
-        return 0.0, psi
-    t = np.linalg.norm(nu + eps * zeta)
-    s = strain(m, t)
-    return linear, (s - linear) / eps**2
-
-
 # --------------------------------------------------------------------------
 # convex profiles Phi
 
@@ -66,7 +41,6 @@ class Potential:
     C0: float
     C1: float
     smooth_at_zero: bool = True
-    params: dict = field(default_factory=dict)
 
     def __call__(self, a) -> np.ndarray | float:
         a = np.asarray(a, dtype=float)
@@ -77,21 +51,6 @@ class Potential:
         a = np.asarray(a, dtype=float)
         out = self.deriv(a)
         return float(out) if np.ndim(out) == 0 else out
-
-    def check_growth(self, n_samples: int = 200) -> bool:
-        """Sampled check of C0 (a^p - 1) <= Phi(a) <= C1 (1 + a^p)."""
-        a = np.logspace(-3, 3, n_samples)
-        phi = self.func(a)
-        lower = self.C0 * (a**self.p - 1.0)
-        upper = self.C1 * (1.0 + a**self.p)
-        slack = 1e-12 * (1.0 + np.abs(phi))
-        return bool(np.all(phi >= lower - slack) and np.all(phi <= upper + slack))
-
-    def check_convex(self, n_samples: int = 400) -> bool:
-        a = np.linspace(0.0, 8.0, n_samples)
-        phi = self.func(a)
-        d2 = np.diff(phi, 2)
-        return bool(np.all(d2 >= -1e-10 * (1.0 + np.abs(phi[1:-1]))))
 
 
 def power_potential(p: float, scale: float = 1.0) -> Potential:
@@ -104,7 +63,6 @@ def power_potential(p: float, scale: float = 1.0) -> Potential:
         deriv=lambda a, s=scale, q=p: s * q * np.maximum(a, 0.0) ** (q - 1),
         p=p, C0=scale, C1=scale,
         smooth_at_zero=True,
-        params={"p": p, "scale": scale},
     )
 
 
@@ -122,8 +80,7 @@ def huber_power(p: float, a0: float) -> Potential:
         a = np.asarray(a, dtype=float)
         return np.where(a <= a0, p * np.maximum(a, 0.0) ** (p - 1), d0)
 
-    return Potential(f"huber(p={p}, a0={a0})", func, deriv, p, 0.0, 1.0 + phi0,
-                     params={"p": p, "a0": a0})
+    return Potential(f"huber(p={p}, a0={a0})", func, deriv, p, 0.0, 1.0 + phi0)
 
 
 def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
@@ -180,7 +137,8 @@ class MicroPotential:
     ``k`` is a radial weight (vectorized over radii); ``psi`` is vectorized
     over (radii, strains).  ``psi_ss0`` optionally registers the closed-form
     second derivative of Psi at s = 0 as a function of radius.  ``c1``,
-    ``c2``, ``delta0`` are the Hooke constants of the small-strain regime.
+    ``c2``, ``delta0`` are the Hooke constants of the small-strain regime,
+    and ``params`` the catalog parameters the entry was built with.
     """
 
     tag: str
@@ -225,50 +183,6 @@ class MicroPotential:
             return _fd_psi_ss(psi, r, np.zeros_like(r))
 
         return fd
-
-    def conformance_report(self, n_samples: int = 201) -> dict:
-        """Sampled check of the structural conditions on Psi.
-
-        Keys: ``zero_at_rest``, ``zero_slope_at_rest``, ``positive_curvature``,
-        ``positive_away_from_zero``, ``hooke_lower_bound``,
-        ``bounded_curvature``, ``force_vanishes_at_threshold``.
-        """
-        r = np.asarray([0.5, 1.0])
-        report = {}
-        report["zero_at_rest"] = bool(np.max(np.abs(self.psi(r, np.zeros(2)))) < 1e-12)
-        h = _FD_STEP
-        slope = (self.psi(r, np.full(2, h)) - self.psi(r, np.full(2, -h))) / (2 * h)
-        report["zero_slope_at_rest"] = bool(np.max(np.abs(slope)) < 1e-6)
-        try:
-            curv0 = self.second_derivative_at_zero(r)
-            report["positive_curvature"] = bool(np.min(curv0) > 0)
-        except ValueError:
-            report["positive_curvature"] = False
-
-        s = np.linspace(-0.9, 4.0, n_samples)
-        if self.params.get("s0") is not None:
-            s = np.append(s, self.params["s0"])
-        s = s[np.abs(s) > 1e-3]
-        vals = self.psi(np.full_like(s, 1.0), s)
-        report["positive_away_from_zero"] = bool(np.min(vals) > 0)
-
-        s_small = np.linspace(-self.delta0, self.delta0, 101)
-        s_small = s_small[np.abs(s_small) > 0]
-        hooke = self.psi(np.full_like(s_small, 1.0), s_small) >= self.c1 * s_small**2 - 1e-12
-        report["hooke_lower_bound"] = bool(np.all(hooke))
-
-        curv = np.array([_fd_psi_ss(self.psi, 1.0, float(ss)) for ss in s_small[::10]])
-        report["bounded_curvature"] = bool(np.all(np.abs(curv) <= self.c2 + 1e-6))
-
-        s_thr = self.params.get("s0")
-        if s_thr is not None:
-            dpsi = (self.psi(np.ones(1), np.asarray([s_thr + h])) -
-                    self.psi(np.ones(1), np.asarray([s_thr - h]))) / (2 * h)
-            report["force_vanishes_at_threshold"] = bool(abs(float(np.ravel(dpsi)[0])) < 1e-3)
-        else:
-            report["force_vanishes_at_threshold"] = False
-        return report
-
 
 def _unit_weight(r):
     return np.ones_like(np.asarray(r, dtype=float))
@@ -368,58 +282,3 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
                               params={"s0": s0})
 
     raise ValueError(f"unknown catalog tag {tag!r}")
-
-
-def rescaled_micro_energy(w: MicroPotential, m: float, xi: np.ndarray,
-                          zeta: np.ndarray, eps: float) -> float:
-    """Quadratically rescaled bond energy eps^-2 w(xi, s_m(|nu + eps zeta|)).
-
-    As eps -> 0 this converges to k(|xi|) * Psi_ss(|xi|, 0) * (zeta.nu)^2
-    with nu = xi/|xi|, the integrand of the linearized energy.
-    """
-    xi = np.asarray(xi, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    r = np.linalg.norm(xi)
-    if r == 0:
-        raise ValueError("xi must be nonzero")
-    nu = xi / r
-    t = np.linalg.norm(nu + eps * zeta)
-    if t <= 0:
-        raise ValueError("strain outside its domain: zero stretch")
-    s = strain(m, t)
-    return float(w.k(np.asarray(r)) * w.psi(np.asarray(r), np.asarray(s))) / eps**2
-
-
-# --------------------------------------------------------------------------
-# 1-d convexification
-
-
-def convexify_1d(phi, t_min: float, t_max: float, n: int):
-    """Tabulated lower convex envelope of a scalar function on [t_min, t_max].
-
-    ``phi`` may be a callable or an array of length n.  The envelope is the
-    lower convex hull of the sample graph (exact for piecewise-affine data),
-    evaluated back on the sample grid.  Returns ``(t, envelope)``.
-    """
-    if n < 64:
-        raise ValueError("need n >= 64 grid points")
-    t = np.linspace(t_min, t_max, n)
-    f = phi(t) if callable(phi) else np.asarray(phi, dtype=float)
-    if f.shape != t.shape or not np.all(np.isfinite(f)):
-        raise ValueError("phi must be finite on the grid")
-    # monotone-chain lower hull of the graph points
-    hull = [0]
-    for i in range(1, n):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            cross = (t[b] - t[a]) * (f[i] - f[a]) - (f[b] - f[a]) * (t[i] - t[a])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hull = np.asarray(hull)
-    env = np.interp(t, t[hull], f[hull])
-    return t, env

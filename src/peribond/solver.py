@@ -2,15 +2,15 @@
 
 The minimization enforces a volumetric Dirichlet collar by hard projection:
 nodes within the collar carry the boundary datum at every iterate.  Descent
-is projected gradient with Armijo backtracking, optionally accelerated by a
-two-loop quasi-Newton recursion.  Two drivers realize the limit experiments:
-small-displacement convergence of the rescaled energies, and localization of
-constrained minimizers under a concentrating kernel sequence.
+is projected Armijo backtracking along the direction of a two-loop
+limited-memory quasi-Newton recursion.  Two experiment functions realize
+the limits: small-displacement convergence of the rescaled energies, and
+localization of constrained minimizers under a concentrating kernel sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,20 +19,21 @@ from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
 from .energy import (PairSet, StrainDomainError, _linearized_pass, _load_term,
                      build_pairs, energy_gradient_Fn)
-from .grids import (Grid, SubdomainMask, VectorField, box_grid, full_mask,
-                    sphere_quadrature)
+from .grids import Grid, SubdomainMask, VectorField, full_mask, sphere_quadrature
 from .kernels import Kernel, KernelSequence, derived_interaction_kernel
 from .materials import MicroPotential, Potential
+
+#: gradient pairs the quasi-Newton recursion keeps, the factor each rejected
+#: trial step is shortened by, and the Armijo sufficient-decrease constant
+_QN_MEMORY = 10
+_ARMIJO_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     max_iters: int = 50_000
     grad_tol: float | None = None  # default by dimension: 1e-8 (1D), 1e-6 else
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    use_quasi_newton: bool = True
-    memory: int = 10
 
     def tol_for(self, dim: int) -> float:
         if self.grad_tol is not None:
@@ -77,8 +78,7 @@ class MinimizeResult:
 class _TwoLoop:
     """Limited-memory quasi-Newton direction from gradient differences."""
 
-    def __init__(self, memory: int):
-        self.memory = memory
+    def __init__(self):
         self.s: list[np.ndarray] = []
         self.y: list[np.ndarray] = []
 
@@ -86,7 +86,7 @@ class _TwoLoop:
         if float(s @ y) > 1e-14 * float(s @ s) ** 0.5 * float(y @ y) ** 0.5:
             self.s.append(s)
             self.y.append(y)
-            if len(self.s) > self.memory:
+            if len(self.s) > _QN_MEMORY:
                 self.s.pop(0)
                 self.y.pop(0)
 
@@ -140,13 +140,13 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
 
     e, gr = energy_grad(vals)
     trace = [e]
-    qn = _TwoLoop(st.memory) if st.use_quasi_newton else None
+    qn = _TwoLoop()
     converged = float(np.max(np.abs(gr))) <= tol
     stop_reason = "max_iters"
     it = 0
     while not converged and it < st.max_iters:
         it += 1
-        d = qn.direction(gr.ravel()).reshape(gr.shape) if qn else -gr
+        d = qn.direction(gr.ravel()).reshape(gr.shape)
         slope = float(np.sum(d * gr))
         if slope >= 0:  # not a descent direction; fall back
             d = -gr
@@ -159,15 +159,14 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
             if np.array_equal(cand, vals):
                 break  # the step rounds away, and so will every shorter one
             e_new, gr_new = energy_grad(cand)
-            if np.isfinite(e_new) and e_new <= e + st.armijo_slope * t * slope:
+            if np.isfinite(e_new) and e_new <= e + _ARMIJO_SLOPE * t * slope:
                 accepted = True
                 break
-            t *= st.armijo_shrink
+            t *= _ARMIJO_SHRINK
         if not accepted:
             stop_reason = "line_search_failed"
             break
-        if qn:
-            qn.push((cand - vals).ravel(), (gr_new - gr).ravel())
+        qn.push((cand - vals).ravel(), (gr_new - gr).ravel())
         vals, e, gr = cand, e_new, gr_new
         trace.append(e)
         converged = float(np.max(np.abs(gr))) <= tol

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import peribond.cli
 from peribond.cli import main
 from peribond.config import ConfigError, parse_config, validate_config
+from peribond.solver import LinearizationRow, LinearizationTable
 
 GOOD_SAWTOOTH = {"experiment": "sawtooth", "seed": 7,
                  "sawtooth": {"N": 4, "delta": 0.02}}
@@ -245,12 +247,47 @@ class TestArtifacts:
         assert summary["converged"] is True
         assert summary["iterations"] > 0
 
+    def test_energy_summary_holds_the_csv_columns(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", {
+            "experiment": "energy", "domain": DOMAIN_1D,
+            "kernel": {"family": "box", "delta": 0.2},
+            "potential": {"profile": "power", "p": 2.0}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out / "summary.json").read_text())
+        assert payload["contracts"] == {"identity_zero_energy": True}
+        assert sorted(payload["summary"]) == ["h", "pair_count", "value"]
+        assert (out / "energy.csv").read_text().splitlines()[0] == "value,pair_count,h"
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", GOOD_CHECKS)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out), "--seed", "99"]) == 0
         capsys.readouterr()
         assert json.loads((out / "summary.json").read_text())["seed"] == 99
+
+
+class TestLinearizationRate:
+    def test_second_order_passes(self, tmp_path, capsys):
+        # cohesive bonds at strain order 2 converge at second order here
+        cfg = write(tmp_path, "c.json", {
+            "experiment": "linearize", "strain_m": 2,
+            "domain": {"dim": 3, "lo": 0.0, "hi": 1.0, "n_cells": 12},
+            "micropotential": {"tag": "cohesive"},
+            "linearize": {"eps": [0.1, 0.05, 0.025], "field": "sinusoid"}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "summary.json").read_text())["summary"]["slope"] > 1.9
+
+    @pytest.mark.parametrize("slope", [0.79, None])
+    def test_below_first_order_fails(self, tmp_path, capsys, monkeypatch, slope):
+        table = LinearizationTable((LinearizationRow(0.1, 1.0, 0.1, False),), 0.9, slope)
+        monkeypatch.setattr(peribond.cli, "linearization_experiment", lambda *a, **k: table)
+        cfg = write(tmp_path, "c.json", GOOD_LINEARIZE)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        capsys.readouterr()
 
 
 class TestDeterminism:

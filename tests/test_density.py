@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 import peribond.density
-from peribond.density import (DensityBounds, LaminateSearch,
-                              closed_form_tilde_2d, coercivity_check,
-                              compute_bounds, density_laminate_upper,
-                              density_lower, density_lower_batch,
-                              density_tilde, density_tilde_batch,
-                              fit_coercivity_constant,
-                              frame_indifference_check, one_d_exact_density,
+from peribond.density import (LaminateSearch, _canonical_rows, _monomial_rule,
+                              _sphere_average, closed_form_tilde_2d, compute_bounds,
+                              density_laminate_upper, density_lower,
+                              density_lower_batch, density_tilde,
+                              density_tilde_batch, one_d_exact_density,
                               singular_values, zero_set_predicate)
-from peribond.grids import sphere_quadrature
-from peribond.materials import huber_power, power_potential, tabulated_potential
+from peribond.grids import SphereQuadrature, sphere_quadrature
+from peribond.materials import (Potential, huber_power, power_potential,
+                                tabulated_potential)
 
 PHI2 = power_potential(2.0)
 Q2 = sphere_quadrature(2, 256)
@@ -310,6 +309,25 @@ class TestLaminateMirrorOrbits:
         assert below >= 6  # the search is not merely capped at tilde
 
 
+def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature,
+                             search: LaminateSearch | None = None) -> float:
+    """Max deviation of the bound sandwich under left rotation F -> U F."""
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    if np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) > 1e-12:
+        raise ValueError("U must be orthogonal")
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    UF = U @ F
+    devs = [
+        abs(density_lower(F, phi, m, q) - density_lower(UF, phi, m, q)),
+        abs(density_tilde(F, phi, m, q) - density_tilde(UF, phi, m, q)),
+    ]
+    if F.shape == (2, 2):
+        s = search or LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
+        devs.append(abs(density_laminate_upper(F, phi, m, q, s)
+                        - density_laminate_upper(UF, phi, m, q, s)))
+    return float(max(devs))
+
+
 class TestFrameIndifference:
     def test_depends_only_on_singular_values(self):
         # scalar bounds canonicalize to diag(sigma), so two-sided rotations
@@ -401,6 +419,43 @@ class TestLaminateUpper:
         assert b.lower <= b.laminate_upper <= b.tilde
         alone = density_laminate_upper(F, PHI2, 2.0, sphere_quadrature(2, 64), s)
         assert b.laminate_upper == pytest.approx(alone, rel=1e-14)
+
+
+def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,
+                            order: int = 256, n_samples: int = 64,
+                            seed: int = 1234) -> float:
+    """Fitted constant C with lower-bound density >= C (|F|^p - 1).
+
+    Minimizes the ratio over a sample of matrices with Frobenius norm in
+    [2, 50].
+    """
+    q = sphere_quadrature(d, order)
+    rng = np.random.Generator(np.random.Philox(seed))
+    Fs, norms = np.empty((n_samples, d, d)), np.empty(n_samples)
+    for k in range(n_samples):
+        G = rng.standard_normal((d, d))
+        norms[k] = rng.uniform(2.0, 50.0)
+        Fs[k] = G * (norms[k] / np.linalg.norm(G))
+    lhs = _sphere_average(_canonical_rows(Fs), phi, m, _monomial_rule(q), lower=True)
+    return 0.99 * float(np.min(lhs / (norms**phi.p - 1.0)))
+
+
+def coercivity_check(F, phi: Potential, m: float = 1.0,
+                     q: SphereQuadrature | None = None,
+                     C: float | None = None):
+    """Evaluate both sides of the coercivity inequality with a fitted constant.
+
+    Returns (lhs, rhs, pass).
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    d = F.shape[0]
+    if q is None:
+        q = sphere_quadrature(d, 256)
+    if C is None:
+        C = fit_coercivity_constant(d, phi, m, order=len(q.weights) if d == 2 else 256)
+    lhs = density_lower(F, phi, m, q)
+    rhs = C * (float(np.linalg.norm(F)) ** phi.p - 1.0)
+    return lhs, rhs, bool(lhs >= rhs - 1e-12)
 
 
 class TestCoercivity:

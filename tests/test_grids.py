@@ -1,14 +1,12 @@
-"""Grids, masks, fields, sphere quadrature and field CSV round-trips."""
+"""Grids, masks, fields and sphere quadrature."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond.grids import (Grid, SubdomainMask, VectorField, affine_field,
-                            box_grid, box_subdomain, difference_quotient,
-                            field_from_function, full_mask, load_field_csv,
-                            save_field_csv, sphere_quadrature,
+from peribond.grids import (Grid, VectorField, affine_field, box_grid,
+                            box_subdomain, full_mask, sphere_quadrature,
                             unit_interval_grid)
 
 
@@ -93,17 +91,6 @@ class TestVectorField:
         v = affine_field(g, F, b)
         np.testing.assert_allclose(v.values, g.nodes() @ F.T + b)
 
-    def test_difference_quotient_affine(self):
-        g = box_grid(2, 0.0, 1.0, 8)
-        F = np.array([[1.0, 0.5], [0.0, 2.0]])
-        v = affine_field(g, F)
-        x = g.nodes()
-        dq = difference_quotient(v, 3, 40)
-        z = x[40] - x[3]
-        np.testing.assert_allclose(dq, F @ z / np.linalg.norm(z))
-        with pytest.raises(ValueError):
-            difference_quotient(v, 5, 5)
-
 
 class TestSphereQuadrature:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -136,18 +123,6 @@ class TestSphereQuadrature:
         v1 = q.average(lambda w: np.linalg.norm(w @ F.T, axis=1))
         v2 = q.average(lambda w: np.linalg.norm(w @ (U @ F).T, axis=1))
         assert v1 == pytest.approx(v2, abs=1e-13)
-
-
-class TestFieldCsv:
-    def test_roundtrip(self, tmp_path):
-        g = box_grid(2, -0.5, 1.5, 6)
-        rng = np.random.default_rng(3)
-        v = VectorField(g, rng.standard_normal((g.n_nodes, 2)))
-        path = tmp_path / "field.csv"
-        save_field_csv(path, v)
-        w = load_field_csv(path)
-        assert w.grid == g
-        np.testing.assert_array_equal(w.values, v.values)
 
 
 @settings(max_examples=25, deadline=None)

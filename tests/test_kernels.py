@@ -7,7 +7,7 @@ from peribond.kernels import (SPHERE_AREA, box_kernel, box_sequence,
                               check_assumption_A, check_density_condition,
                               custom_radial, derived_interaction_kernel,
                               fractional_sequence, make_fractional,
-                              make_rescaled, radial_integral, tabulated_kernel)
+                              make_rescaled, radial_integral)
 from peribond.materials import MicroPotential, catalog_potential
 
 
@@ -56,13 +56,6 @@ class TestMassNormalization:
     def test_custom_radial_normalizes(self):
         k = custom_radial(2, lambda r: np.exp(-r), 1.0)
         assert k.mass() == pytest.approx(1.0, abs=1e-9)
-
-    def test_tabulated(self):
-        r = np.linspace(0.0, 1.0, 50)
-        k = tabulated_kernel(1, r, 1.0 - r)
-        assert k.mass() == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(ValueError):
-            tabulated_kernel(1, r, r - 0.5)
 
 
 class TestEvaluation:
