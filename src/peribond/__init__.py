@@ -10,7 +10,7 @@ from .grids import (Grid, SphereQuadrature, SubdomainMask, VectorField,
 from .kernels import (Kernel, KernelSequence, box_kernel, box_sequence,
                       check_assumption_A, check_density_condition, custom_radial,
                       derived_interaction_kernel, fractional_sequence,
-                      make_fractional, make_rescaled, rescaled_sequence)
+                      make_fractional, make_rescaled)
 from .materials import (CATALOG_TAGS, MicroPotential, Potential,
                         catalog_potential, huber_power, power_potential,
                         quartic_potential, strain, tabulated_potential)
@@ -26,5 +26,5 @@ from .constructions import (LaminateSpec, RigidityResult, SawtoothEnergy,
                             laminate_profile, rigidity_reconstruct,
                             sawtooth_energy, sawtooth_field, sawtooth_value)
 from .solver import (DirichletProblem, LinearizationTable, MinimizeResult,
-                     SolverSettings, linearization_experiment,
-                     localization_experiment, minimize_Fng, minimize_multistart)
+                     linearization_experiment, localization_experiment,
+                     minimize_Fng, minimize_multistart)

@@ -28,8 +28,8 @@ from .energy import build_pairs, energy_Fn, gradient_Fn
 from .grids import Grid, VectorField, box_grid, field_from_function, full_mask
 from .kernels import box_kernel, box_sequence, make_fractional, make_rescaled
 from .materials import catalog_potential, power_potential, quartic_potential
-from .solver import (DirichletProblem, SolverSettings, linearization_experiment,
-                     localization_experiment, minimize_multistart)
+from .solver import (DirichletProblem, linearization_experiment, localization_experiment,
+                     minimize_multistart)
 
 EXIT_OK, EXIT_CONTRACT, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3, 4
 
@@ -187,8 +187,7 @@ def _run_minimize(cfg: ScenarioConfig, threads: int):
     F = _matrix(blk["datum"])
     mask = full_mask(grid, collar if collar > 0 else 2 * kernel.support_radius)
     g = VectorField(grid, grid.nodes() @ F.T)
-    settings = SolverSettings(max_iters=blk["max_iters"])
-    prob = DirichletProblem(mask, g, kernel, phi, m, settings)
+    prob = DirichletProblem(mask, g, kernel, phi, m, max_iters=blk["max_iters"])
     res = minimize_multistart(prob, seed=cfg.seed)
     affine = energy_Fn(g, mask, kernel, phi, m).value
     rows = [[i, e] for i, e in enumerate(res.energy_trace)]

@@ -9,7 +9,7 @@ constructive reconstruction of an isometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,22 +157,20 @@ class LaminateDecayRow:
 
 def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
                           phi: Potential | None = None, m: float = 1.0,
-                          delta_law: Callable[[int], float] = lambda n: 1.0 / n**2,
-                          k_law: Callable[[int], int] = lambda n: n,
                           max_cells: int = 256) -> list[LaminateDecayRow]:
     """Energy table of the laminate sequence under a concentrating kernel.
 
-    For each n the horizon is delta(n) and the oscillation frequency k(n);
-    with k(n) * delta(n) -> 0 the energies decay toward zero, exhibiting that
-    the limiting density vanishes on diagonal gradients with entries in
+    For each n the horizon is delta = 1/n^2 and the oscillation frequency
+    k = n; with k delta = 1/n -> 0 the energies decay toward zero, exhibiting
+    that the limiting density vanishes on diagonal gradients with entries in
     [0, 1].
 
     The unit box gets ``min(max_cells, max(8 k, ceil(4 / delta), 32))``
     cells per side, the ceil guarded by 1e-12 so that a quotient that is an
     integer up to round-off is not pushed one cell up.  The count is not
-    forced to a multiple of k; under the default laws and ``max_cells`` it is
-    one for n <= 8 (32 cells for n <= 2, exactly 4 n^2 for 3 <= n <= 8), so
-    every laminate period spans a whole number of cells.
+    forced to a multiple of k; under the default ``max_cells`` it is one for
+    n <= 8 (32 cells for n <= 2, exactly 4 n^2 for 3 <= n <= 8), so every
+    laminate period spans a whole number of cells.
     """
     lam = tuple(float(x) for x in lam)
     d = len(lam)
@@ -180,8 +178,8 @@ def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
     base = box_kernel(d)
     rows = []
     for n in n_values:
-        delta = delta_law(n)
-        k = int(k_law(n))
+        delta = 1.0 / n**2
+        k = int(n)
         cells = int(min(max_cells, max(8 * k, np.ceil(4.0 / delta - 1e-12), 32)))
         grid = box_grid(d, 0.0, 1.0, cells)
         v = laminate_field(LaminateSpec(lam, k), grid)
@@ -208,17 +206,15 @@ class RigidityResult:
 
 
 def rigidity_reconstruct(v: VectorField, R: float,
-                         mask: SubdomainMask | None = None,
-                         n_sample_pairs: int = 2000,
-                         seed: int = 0) -> RigidityResult:
+                         mask: SubdomainMask | None = None) -> RigidityResult:
     """Reconstruct the affine map behind a (candidate) isometry.
 
     Anchors at the nodes nearest 0 and R e_k; the matrix solves the exact
     coordinate-difference system F (x_k - x_0) = v(x_k) - v(x_0), which is
     exact for affine data even though cell-centered nodes never sit exactly
     at the anchor points.  The residual is the worst distance distortion
-    max | |v(x) - v(y)| - |x - y| | over a deterministic random sample of
-    node pairs, and is large whenever v is not an isometry.
+    max | |v(x) - v(y)| - |x - y| | over up to 2000 node pairs drawn with
+    seed 0, and is large whenever v is not an isometry.
     """
     g = v.grid
     d = g.dim
@@ -235,9 +231,9 @@ def rigidity_reconstruct(v: VectorField, R: float,
     F = dvv @ np.linalg.inv(dx)
     b = v.values[anchors[0]] - F @ x0
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     act_idx = np.flatnonzero(active)
-    n_pairs = min(n_sample_pairs, len(act_idx) * (len(act_idx) - 1) // 2)
+    n_pairs = min(2000, len(act_idx) * (len(act_idx) - 1) // 2)
     ii = rng.choice(act_idx, size=n_pairs)
     jj = rng.choice(act_idx, size=n_pairs)
     keep = ii != jj

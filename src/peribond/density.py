@@ -134,9 +134,10 @@ def closed_form_tilde_2d(F) -> float:
     return float((np.sum(dev**2) + 0.5 * (np.trace(G) - 2.0) ** 2) / 16.0)
 
 
-def zero_set_predicate(F, tol: float = 1e-12) -> bool:
-    """True iff F^T F <= I, i.e. the largest singular value is at most 1."""
-    return bool(singular_values(F).max() <= 1.0 + tol)
+def zero_set_predicate(F) -> bool:
+    """True iff F^T F <= I, i.e. the largest singular value is at most 1
+    (up to 1e-12)."""
+    return bool(singular_values(F).max() <= 1.0 + 1e-12)
 
 
 def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
@@ -302,7 +303,7 @@ class DensityBounds:
         return zero_set_predicate(self.F)
 
 
-def compute_bounds(F, phi: Potential, m: float, order: int = 256,
+def compute_bounds(F, phi: Potential, m: float, order: int,
                    search: LaminateSearch | None = None,
                    with_laminate: bool = True) -> DensityBounds:
     F = np.atleast_2d(np.asarray(F, dtype=float))

@@ -361,7 +361,7 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
         if support_radius is None:
             support_radius = getattr(rho, "support_radius", None)
             if support_radius is None:
-                raise ValueError("support_radius required for a bare profile")
+                raise ValueError("pairs or support_radius is required")
         pairs = build_pairs(g, None, support_radius)
     xrho = 0.0
     totals: list = [0.0] * len(eps_list)
@@ -391,14 +391,16 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
 
 
 def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
-                 l: VectorField | None = None, support_radius: float = 1.0,
+                 l: VectorField | None = None, support_radius: float | None = None,
                  pairs: PairSet | None = None) -> EnergyReport:
     """Rescaled small-displacement energy of the deformation x + eps*u.
 
     Value is eps^-2 times the double sum of w(y-x, s_m[x + eps u]) minus the
-    load term.  A bond whose deformed length vanishes puts the strain on the
-    boundary of its domain and raises :class:`StrainDomainError`; its ``pair``
-    is the first such bond in offset-major, node-minor order.
+    load term, over ``pairs`` or else the bonds within ``support_radius``
+    (one of the two is required).  A bond whose deformed length vanishes puts
+    the strain on the boundary of its domain and raises
+    :class:`StrainDomainError`; its ``pair`` is the first such bond in
+    offset-major, node-minor order.
     """
     pairs, _, (value,) = _linearized_pass(u, pairs, support_radius, w=w, m=m,
                                           eps_list=(eps,))

@@ -21,9 +21,13 @@ from .materials import MicroPotential
 #: surface area of the unit sphere S^{d-1}
 SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
+#: relative size of the dyadic piece that ends an integral down to r = 0, and
+#: the most dyadic annuli one integral takes
+_RTOL = 1e-9
+_MAX_LEVELS = 200
 
-def radial_integral(f, r_min: float, r_max: float, d: int,
-                    rtol: float = 1e-9, max_levels: int = 200) -> float:
+
+def radial_integral(f, r_min: float, r_max: float, d: int) -> float:
     """Integrate ``f(r) * |S^{d-1}| * r^(d-1)`` over (r_min, r_max).
 
     Composite Gauss-Legendre on dyadic annuli toward r_min handles integrable
@@ -35,7 +39,7 @@ def radial_integral(f, r_min: float, r_max: float, d: int,
     total = 0.0
     pieces = []
     hi = r_max
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         lo = max(r_min, hi / 2.0)
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         r = mid + half * x
@@ -45,7 +49,7 @@ def radial_integral(f, r_min: float, r_max: float, d: int,
         if lo <= r_min * (1 + 1e-15) and r_min > 0.0:
             break
         if r_min == 0.0 and lo < 1e-12 * r_max and (
-                abs(piece) < rtol * max(abs(total), 1e-300) or len(pieces) >= 3):
+                abs(piece) < _RTOL * max(abs(total), 1e-300) or len(pieces) >= 3):
             break
         hi = lo
         if hi <= r_min:
@@ -73,7 +77,6 @@ class Kernel:
     family: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    singularity_exponent: float = 0.0
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -83,9 +86,9 @@ class Kernel:
             out[inside] = self.profile(r[inside])
         return out
 
-    def mass(self, rtol: float = 1e-9) -> float:
+    def mass(self) -> float:
         """Numerical mass integral of rho over R^d."""
-        return radial_integral(self.profile, 0.0, self.support_radius, self.dim, rtol)
+        return radial_integral(self.profile, 0.0, self.support_radius, self.dim)
 
     def tail_mass(self, delta: float) -> float:
         """Mass outside the ball B(0, delta)."""
@@ -118,15 +121,14 @@ def make_rescaled(base: Kernel, delta: float) -> Kernel:
         return prof(r / delta) / delta**d
 
     return Kernel(d, f"rescaled({base.family})", profile,
-                  support_radius=delta * base.support_radius,
-                  singularity_exponent=base.singularity_exponent)
+                  support_radius=delta * base.support_radius)
 
 
 def make_fractional(d: int, s: float, p: float) -> Kernel:
     """Fractional-type kernel C (1-s) r^-(d + s p - p) on the unit ball.
 
-    The exponent beta = d + s p - p is the recorded singularity strength;
-    beta < d always holds for s in (0, 1), so the kernel is integrable.  The
+    The singularity exponent beta = d + s p - p stays below d for s in
+    (0, 1), so the kernel is integrable.  The
     normalization is closed-form: the radial mass integral is
     |S^{d-1}| * C * (1-s) / (p (1-s)), so C = p / |S^{d-1}|.
     """
@@ -140,19 +142,17 @@ def make_fractional(d: int, s: float, p: float) -> Kernel:
     def profile(r, _c=c * (1.0 - s), _b=beta):
         return _c * r ** (-_b)
 
-    return Kernel(d, "fractional", profile, 1.0, singularity_exponent=beta)
+    return Kernel(d, "fractional", profile, 1.0)
 
 
-def custom_radial(d: int, profile, support_radius: float,
-                  family: str = "custom-radial",
-                  singularity_exponent: float = 0.0) -> Kernel:
+def custom_radial(d: int, profile, support_radius: float) -> Kernel:
     """Normalize an arbitrary nonnegative radial profile to unit mass."""
     raw = radial_integral(profile, 0.0, support_radius, d)
     if not raw > 0:
         raise ValueError("profile must have positive mass")
     c = 1.0 / raw
-    return Kernel(d, family, lambda r: c * np.asarray(profile(r), dtype=float),
-                  support_radius, singularity_exponent=singularity_exponent)
+    return Kernel(d, "custom-radial", lambda r: c * np.asarray(profile(r), dtype=float),
+                  support_radius)
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,15 @@ class KernelSequence:
         return self.generator(n)
 
 
-def rescaled_sequence(base: Kernel, delta_law=lambda n: 1.0 / n) -> KernelSequence:
+def box_sequence(d: int, delta_law=lambda n: 1.0 / n) -> KernelSequence:
+    """rho_n = the unit box kernel rescaled to the horizon delta_law(n)."""
+    base = box_kernel(d)
     return KernelSequence(lambda n: make_rescaled(base, delta_law(n)))
 
 
-def box_sequence(d: int, delta_law=lambda n: 1.0 / n) -> KernelSequence:
-    return rescaled_sequence(box_kernel(d), delta_law)
-
-
-def fractional_sequence(d: int, p: float, s_law=lambda n: 1.0 - 1.0 / (n + 1)) -> KernelSequence:
-    return KernelSequence(lambda n: make_fractional(d, s_law(n), p))
+def fractional_sequence(d: int, p: float) -> KernelSequence:
+    """rho_n = the fractional kernel with s = 1 - 1/(n + 1)."""
+    return KernelSequence(lambda n: make_fractional(d, 1.0 - 1.0 / (n + 1), p))
 
 
 @dataclass(frozen=True)
@@ -192,16 +191,12 @@ def check_assumption_A(seq: KernelSequence, delta: float, n_max: int,
 
     Computes t_n = mass of rho_n outside B(0, delta) for n = 1..n_max and
     passes when the terminal tail is below ``tol`` and the tail is
-    non-increasing from some point on.
+    non-increasing over the second half of the sequence, n > n_max // 2.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     t = np.array([seq[n].tail_mass(delta) for n in range(1, n_max + 1)])
-    eventually_decreasing = False
-    for n0 in range(len(t)):
-        if np.all(np.diff(t[n0:]) <= 1e-12):
-            eventually_decreasing = True
-            break
+    eventually_decreasing = np.all(np.diff(t[len(t) // 2:]) <= 1e-12)
     passed = bool(t[-1] < tol and eventually_decreasing)
     return TailReport(delta, t, passed)
 
@@ -214,16 +209,15 @@ class DensityConditionReport:
     passed: bool
 
 
-def check_density_condition(kernel: Kernel, p: float,
-                            n_levels: int = 12, ratio_floor: float = 1.05) -> DensityConditionReport:
+def check_density_condition(kernel: Kernel, p: float) -> DensityConditionReport:
     """Diagnose whether int_{|z|>delta} rho(z)/|z|^p dz blows up as delta -> 0.
 
-    Evaluates the integral at delta = 2^-j, j = 1..n_levels and passes when
-    the successive ratios stay bounded away from 1.
+    Evaluates the integral at delta = 2^-j, j = 1..12 and passes when the
+    last three successive ratios exceed 1.05.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    deltas = 2.0 ** -np.arange(1, n_levels + 1)
+    deltas = 2.0 ** -np.arange(1, 13)
 
     def integrand(r):
         return kernel(r) / r**p
@@ -235,7 +229,7 @@ def check_density_condition(kernel: Kernel, p: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = vals[1:] / vals[:-1]
     passed = bool(np.all(np.isfinite(vals)) and vals[-1] > 0
-                  and np.all(ratios[-3:] > ratio_floor))
+                  and np.all(ratios[-3:] > 1.05))
     return DensityConditionReport(deltas, vals, ratios, passed)
 
 

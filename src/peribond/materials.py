@@ -7,7 +7,7 @@ plus profile, with the Hooke constants of their small-strain regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,7 +85,12 @@ def huber_power(p: float, a0: float) -> Potential:
 
 def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
                         C0: float, C1: float) -> Potential:
-    """Custom convex profile from samples; validates monotone convexity on load."""
+    """Custom convex profile from samples; validates monotone convexity on load.
+
+    Piecewise linear through the samples, and continued past the last one
+    along the last slope, so the profile stays convex and ``d`` is its
+    derivative everywhere.
+    """
     a = np.asarray(a, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if a.ndim != 1 or a.shape != phi.shape or len(a) < 3:
@@ -99,7 +104,7 @@ def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
         raise ValueError("tabulated profile must start at (0, 0)")
 
     def func(x):
-        return np.interp(x, a, phi, right=phi[-1] + slopes[-1] * 0)
+        return np.where(x > a[-1], phi[-1] + slopes[-1] * (x - a[-1]), np.interp(x, a, phi))
 
     def deriv(x):
         idx = np.clip(np.searchsorted(a, x) - 1, 0, len(slopes) - 1)
@@ -137,8 +142,7 @@ class MicroPotential:
     ``k`` is a radial weight (vectorized over radii); ``psi`` is vectorized
     over (radii, strains).  ``psi_ss0`` optionally registers the closed-form
     second derivative of Psi at s = 0 as a function of radius.  ``c1``,
-    ``c2``, ``delta0`` are the Hooke constants of the small-strain regime,
-    and ``params`` the catalog parameters the entry was built with.
+    ``c2``, ``delta0`` are the Hooke constants of the small-strain regime.
     """
 
     tag: str
@@ -148,7 +152,6 @@ class MicroPotential:
     c2: float
     delta0: float
     psi_ss0: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, r, s) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -184,6 +187,7 @@ class MicroPotential:
 
         return fd
 
+
 def _unit_weight(r):
     return np.ones_like(np.asarray(r, dtype=float))
 
@@ -193,8 +197,8 @@ CATALOG_TAGS = frozenset(
     {"mbm", "mbm_smooth", "modified_mbm", "cohesive", "quartic", "two_well"})
 
 
-def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
-    """Build a catalog micro-potential by tag.
+def catalog_potential(tag: str, **params) -> MicroPotential:
+    """Build a catalog micro-potential by tag, with the unit radial weight.
 
     Tags: ``mbm`` (brittle, quadratic below a strain threshold s0),
     ``mbm_smooth`` (the unbroken quadratic branch), ``modified_mbm``
@@ -203,8 +207,6 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
     ``quartic`` (stretch-quartic (t^2-1)^2 written in strain variables),
     ``two_well`` (wells at 0 and s0).
     """
-    k = _unit_weight if k is None else k
-
     if tag == "mbm":
         s0 = params.get("s0", 0.1)
         c = params.get("c", 2.0)
@@ -213,9 +215,8 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return np.where(s <= s0, 0.5 * c * s**2, 0.5 * c * s0**2)
 
-        return MicroPotential("mbm", k, psi, c1=c / 2, c2=c, delta0=s0,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c),
-                              params={"s0": s0, "c": c})
+        return MicroPotential("mbm", _unit_weight, psi, c1=c / 2, c2=c, delta0=s0,
+                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
 
     if tag == "mbm_smooth":
         c = params.get("c", 2.0)
@@ -223,9 +224,8 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
         def psi(r, s):
             return 0.5 * c * np.asarray(s, dtype=float) ** 2
 
-        return MicroPotential("mbm_smooth", k, psi, c1=c / 2, c2=c, delta0=1.0,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c),
-                              params={"c": c})
+        return MicroPotential("mbm_smooth", _unit_weight, psi, c1=c / 2, c2=c, delta0=1.0,
+                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
 
     if tag == "modified_mbm":
         s0 = params.get("s0", 0.5)
@@ -235,9 +235,8 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return 0.5 * c * s0**2 * (1.0 - np.exp(-(s / s0) ** 2))
 
-        return MicroPotential("modified_mbm", k, psi, c1=c / 4, c2=c, delta0=s0 / 2,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c),
-                              params={"s0": s0, "c": c})
+        return MicroPotential("modified_mbm", _unit_weight, psi, c1=c / 4, c2=c, delta0=s0 / 2,
+                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
 
     if tag == "cohesive":
         f = params.get("f")
@@ -255,10 +254,9 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
             return f(r * s**2)
 
         # d2/ds2 f(r s^2) at 0 = 2 r f'(0)
-        return MicroPotential("cohesive", k, psi, c1=fprime0 / 4, c2=4.0 * fprime0,
+        return MicroPotential("cohesive", _unit_weight, psi, c1=fprime0 / 4, c2=4.0 * fprime0,
                               delta0=0.25,
-                              psi_ss0=lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float),
-                              params={"fprime0": fprime0})
+                              psi_ss0=lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float))
 
     if tag == "quartic":
         # stretch form (t^2 - 1)^2 with t = 1 + s:  Psi(s) = ((1+s)^2 - 1)^2
@@ -266,9 +264,8 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return (s * (s + 2.0)) ** 2
 
-        return MicroPotential("quartic", k, psi, c1=2.0, c2=24.0, delta0=0.25,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 8.0),
-                              params={})
+        return MicroPotential("quartic", _unit_weight, psi, c1=2.0, c2=24.0, delta0=0.25,
+                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 8.0))
 
     if tag == "two_well":
         s0 = params.get("s0", 0.5)
@@ -277,8 +274,7 @@ def catalog_potential(tag: str, k=None, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return np.minimum(s**2, (s - s0) ** 2)
 
-        return MicroPotential("two_well", k, psi, c1=1.0, c2=2.0, delta0=s0 / 2,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 2.0),
-                              params={"s0": s0})
+        return MicroPotential("two_well", _unit_weight, psi, c1=1.0, c2=2.0, delta0=s0 / 2,
+                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 2.0))
 
     raise ValueError(f"unknown catalog tag {tag!r}")

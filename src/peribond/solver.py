@@ -10,7 +10,7 @@ localization of constrained minimizers under a concentrating kernel sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,26 +31,21 @@ _ARMIJO_SLOPE = 1e-4
 
 
 @dataclass(frozen=True)
-class SolverSettings:
-    max_iters: int = 50_000
-    grad_tol: float | None = None  # default by dimension: 1e-8 (1D), 1e-6 else
-
-    def tol_for(self, dim: int) -> float:
-        if self.grad_tol is not None:
-            return self.grad_tol
-        return 1e-8 if dim == 1 else 1e-6
-
-
-@dataclass(frozen=True)
 class DirichletProblem:
-    """Minimize the nonlocal energy over fields pinned to g on the collar."""
+    """Minimize the nonlocal energy over fields pinned to g on the collar.
+
+    The descent stops after ``max_iters`` steps or once the largest gradient
+    entry is at most ``grad_tol``, which defaults to 1e-8 in 1D and 1e-6 in
+    2D and 3D.
+    """
 
     mask: SubdomainMask
     g: VectorField
     kernel: Kernel
     phi: Potential
     m: float = 1.0
-    settings: SolverSettings = field(default_factory=SolverSettings)
+    max_iters: int = 50_000
+    grad_tol: float | None = None
 
     def __post_init__(self):
         if self.mask.collar_width <= 0:
@@ -122,8 +117,9 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     if not prob.phi.smooth_at_zero:
         raise ValueError("minimization requires a profile differentiable at 0")
     grid = prob.mask.grid
-    st = prob.settings
-    tol = st.tol_for(grid.dim)
+    tol = prob.grad_tol
+    if tol is None:
+        tol = 1e-8 if grid.dim == 1 else 1e-6
     if pairs is None:
         pairs = build_pairs(grid, prob.mask, prob.kernel.support_radius)
     free = prob.free
@@ -144,7 +140,7 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     converged = float(np.max(np.abs(gr))) <= tol
     stop_reason = "max_iters"
     it = 0
-    while not converged and it < st.max_iters:
+    while not converged and it < prob.max_iters:
         it += 1
         d = qn.direction(gr.ravel()).reshape(gr.shape)
         slope = float(np.sum(d * gr))
@@ -198,12 +194,11 @@ def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:
     return [prob.g, VectorField(grid, sin_pert), VectorField(grid, zig)]
 
 
-def minimize_multistart(prob: DirichletProblem, n_starts: int = 3,
-                        seed: int = 0) -> MinimizeResult:
+def minimize_multistart(prob: DirichletProblem, seed: int = 0) -> MinimizeResult:
     """Best-of minimization over the standard starts (the energy is nonconvex)."""
     pairs = build_pairs(prob.mask.grid, prob.mask, prob.kernel.support_radius)
     best = None
-    for v0 in default_starts(prob, seed)[:n_starts]:
+    for v0 in default_starts(prob, seed):
         res = minimize_Fng(prob, v0, pairs=pairs)
         if best is None or res.energy_trace[-1] < best.energy_trace[-1]:
             best = res
@@ -235,13 +230,13 @@ class LinearizationTable:
 def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
                              eps_list: Sequence[float],
                              l: VectorField | None = None,
-                             support_radius: float = 1.0) -> LinearizationTable:
+                             support_radius: float | None = None) -> LinearizationTable:
     """Convergence of the rescaled energies to the quadratic limit at fixed u.
 
     Evaluates E_eps(u) for each eps and the quadratic energy built from the
-    interaction kernel of w in one pass over the bonds and compares them;
-    rows where a bond leaves the admissible strain domain are flagged and
-    excluded from the rate fit.
+    interaction kernel of w in one pass over the bonds within
+    ``support_radius`` (required) and compares them; rows where a bond leaves
+    the admissible strain domain are flagged and excluded from the rate fit.
     """
     _, double, values = _linearized_pass(u, None, support_radius, derived_interaction_kernel(w),
                                          w, m, eps_list)
@@ -295,20 +290,17 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
                             n_values: Sequence[int],
                             grid_law: Callable[[int], Grid],
                             collar_width: float = 0.1,
-                            lp: float | None = None,
-                            quad_order: int = 64,
-                            settings: SolverSettings | None = None,
                             seed: int = 0) -> list[LocalizationRow]:
     """Constrained minimizers along a concentrating kernel sequence.
 
     For each n a Dirichlet problem with datum g is minimized; the report
-    lists the minimal energies, discrete L^p distances between successive
+    lists the minimal energies, discrete L^{m p} distances between successive
     minimizers (injected to the finer grid by nearest-node sampling), and
     the integrals of the two density bounds over the discrete gradient of
-    the minimizer, which bracket the limiting energy.
+    the minimizer, which bracket the limiting energy; the bounds average over
+    a sphere quadrature of order 64.
     """
-    if lp is None:
-        lp = m * phi.p
+    lp = m * phi.p
     rows: list[LocalizationRow] = []
     prev: VectorField | None = None
     for n in n_values:
@@ -319,8 +311,7 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
         gv = np.asarray(g_datum(x) if callable(g_datum) else x @ np.atleast_2d(g_datum).T)
         if gv.ndim == 1:
             gv = gv[:, None]
-        prob = DirichletProblem(mask, VectorField(grid, gv), kernel, phi, m,
-                                settings or SolverSettings())
+        prob = DirichletProblem(mask, VectorField(grid, gv), kernel, phi, m)
         res = minimize_multistart(prob, seed=seed)
         vstar = res.v
 
@@ -333,7 +324,7 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
             dist = float((fine.grid.cell_volume * np.sum(diff**lp)) ** (1.0 / lp))
 
         grads = _discrete_gradients(vstar)[mask.active]
-        q = sphere_quadrature(grid.dim, quad_order)
+        q = sphere_quadrature(grid.dim, 64)
         vol = grid.cell_volume
         lower_int = float(vol * np.sum(density_lower_batch(grads, phi, m, q)))
         tilde_int = float(vol * np.sum(density_tilde_batch(grads, phi, m, q)))

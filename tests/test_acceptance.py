@@ -277,7 +277,7 @@ def test_criterion_08_kernel_battery():
                   make_fractional(2, 0.9, 2.0),
                   make_fractional(3, 0.25, 3.0)])
     for k in kernels:
-        assert abs(k.mass() - 1.0) <= 1e-6, k.name
+        assert abs(k.mass() - 1.0) <= 1e-6, k.family
     # concentration tails along the sequences (compact support: exact zero
     # past the horizon; fractional: tail matches its slow closed form)
     assert check_assumption_A(box_sequence(2), delta=0.3, n_max=8).passed

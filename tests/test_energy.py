@@ -523,6 +523,17 @@ class TestLinearizationPass:
         with pytest.raises(ValueError, match="eps must be positive"):
             energy_E_eps(u, w, 1.0, bad, support_radius=0.2)
 
+    def test_horizon_is_required(self):
+        # without pairs or a support radius there is no horizon to default to;
+        # the unit radius would take every pair of the unit interval
+        g = unit_interval_grid(16)
+        u = field_from_function(g, lambda x: x**2)
+        w = catalog_potential("quartic")
+        with pytest.raises(ValueError, match="support_radius"):
+            energy_E_eps(u, w, 1.0, 0.1)
+        with pytest.raises(ValueError, match="support_radius"):
+            linearization_experiment(u, w, 1.0, [0.1, 0.05])
+
 
 class TestSeminorms:
     def test_affine_seminorm_W(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from peribond.kernels import (SPHERE_AREA, box_kernel, box_sequence,
+from peribond.kernels import (SPHERE_AREA, KernelSequence, box_kernel, box_sequence,
                               check_assumption_A, check_density_condition,
                               custom_radial, derived_interaction_kernel,
                               fractional_sequence, make_fractional,
@@ -44,8 +44,6 @@ class TestMassNormalization:
     def test_fractional_mass(self, d, s, p):
         k = make_fractional(d, s, p)
         assert k.mass() == pytest.approx(1.0, abs=1e-6)
-        assert k.singularity_exponent == pytest.approx(d + s * p - p)
-        assert k.singularity_exponent < d
 
     def test_fractional_validation(self):
         with pytest.raises(ValueError):
@@ -90,6 +88,15 @@ class TestTails:
         n = np.arange(1, 13)
         s = 1.0 - 1.0 / (n + 1)
         np.testing.assert_allclose(rep.tail, 1.0 - 0.3 ** (p * (1 - s)), rtol=1e-8)
+
+    def test_tail_that_rises_late_fails(self):
+        # box horizons 0.5, 0.4, 0.9, 0.35, 0.8, 0.31: the tails outside 0.3
+        # are 1 - 0.3/delta_n, ending below tol but rising at n = 5
+        horizons = (0.5, 0.4, 0.9, 0.35, 0.8, 0.31)
+        seq = KernelSequence(lambda n: make_rescaled(box_kernel(1), horizons[n - 1]))
+        rep = check_assumption_A(seq, delta=0.3, n_max=6, tol=0.5)
+        np.testing.assert_allclose(rep.tail, [1.0 - 0.3 / h for h in horizons], rtol=1e-9)
+        assert not rep.passed
 
     def test_tail_mass_box(self):
         # 1D box on (-1,1): mass outside (-1/2, 1/2) is 1/2

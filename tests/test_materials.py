@@ -158,6 +158,17 @@ class TestPotentials:
         with pytest.raises(ValueError):
             tabulated_potential(a, np.abs(np.sin(3 * a)), p=2.0, C0=0.0, C1=1.0)
 
+    def test_tabulated_continues_past_the_table(self):
+        # past the last sample the profile continues along the last slope,
+        # so the value and the derivative still agree
+        a = np.linspace(0.0, 1.0, 11)
+        phi = tabulated_potential(a, a**2, p=2.0, C0=1.0, C1=1.0)
+        h = 1e-6
+        for x in (1.5, 3.0):
+            fd = (phi(x + h) - phi(x - h)) / (2 * h)
+            assert fd == pytest.approx(phi.d(x), rel=1e-6)
+            assert phi(x) == pytest.approx(1.0 + 1.9 * (x - 1.0), rel=1e-12)
+
 
 class TestQuarticIdentity:
     def test_stretch_form_equals_strain_form(self):
@@ -173,8 +184,10 @@ class TestQuarticIdentity:
                                    ((1 + s) ** 2 - 1) ** 2, rtol=1e-12)
 
 
-def conformance_report(w: MicroPotential, n_samples: int = 201) -> dict:
-    """Sampled check of the structural conditions on Psi.
+def conformance_report(w: MicroPotential, s0: float | None = None,
+                       n_samples: int = 201) -> dict:
+    """Sampled check of the structural conditions on Psi; ``s0`` is the
+    strain threshold or second well the entry was built with, if any.
 
     Keys: ``zero_at_rest``, ``zero_slope_at_rest``, ``positive_curvature``,
     ``positive_away_from_zero``, ``hooke_lower_bound``,
@@ -193,8 +206,8 @@ def conformance_report(w: MicroPotential, n_samples: int = 201) -> dict:
         report["positive_curvature"] = False
 
     s = np.linspace(-0.9, 4.0, n_samples)
-    if w.params.get("s0") is not None:
-        s = np.append(s, w.params["s0"])
+    if s0 is not None:
+        s = np.append(s, s0)
     s = s[np.abs(s) > 1e-3]
     vals = w.psi(np.full_like(s, 1.0), s)
     report["positive_away_from_zero"] = bool(np.min(vals) > 0)
@@ -207,10 +220,9 @@ def conformance_report(w: MicroPotential, n_samples: int = 201) -> dict:
     curv = np.array([_fd_psi_ss(w.psi, 1.0, float(ss)) for ss in s_small[::10]])
     report["bounded_curvature"] = bool(np.all(np.abs(curv) <= w.c2 + 1e-6))
 
-    s_thr = w.params.get("s0")
-    if s_thr is not None:
-        dpsi = (w.psi(np.ones(1), np.asarray([s_thr + h])) -
-                w.psi(np.ones(1), np.asarray([s_thr - h]))) / (2 * h)
+    if s0 is not None:
+        dpsi = (w.psi(np.ones(1), np.asarray([s0 + h])) -
+                w.psi(np.ones(1), np.asarray([s0 - h]))) / (2 * h)
         report["force_vanishes_at_threshold"] = bool(abs(float(np.ravel(dpsi)[0])) < 1e-3)
     else:
         report["force_vanishes_at_threshold"] = False
@@ -229,7 +241,7 @@ class TestCatalog:
 
     def test_two_well_vanishes_at_second_well(self):
         w = catalog_potential("two_well", s0=0.5)
-        assert not conformance_report(w)["positive_away_from_zero"]
+        assert not conformance_report(w, s0=0.5)["positive_away_from_zero"]
 
     def test_mbm_force_plateau(self):
         w = catalog_potential("mbm", s0=0.1, c=2.0)

@@ -11,8 +11,7 @@ from peribond.grids import (VectorField, affine_field, box_grid,
                             unit_interval_grid)
 from peribond.kernels import box_kernel, box_sequence, make_rescaled
 from peribond.materials import catalog_potential, power_potential
-from peribond.solver import (DirichletProblem, SolverSettings,
-                             linearization_experiment,
+from peribond.solver import (DirichletProblem, linearization_experiment,
                              localization_experiment, minimize_Fng,
                              minimize_multistart)
 
@@ -94,24 +93,24 @@ class TestMinimize:
         F = np.array([[1.0, 0.3], [0.0, 1.0]])
         prob = DirichletProblem(mask, affine_field(g, F),
                                 make_rescaled(box_kernel(2), 0.2), PHI, 1.0,
-                                SolverSettings(max_iters=300))
+                                max_iters=300)
         e_datum = energy_Fn(prob.g, mask, prob.kernel, PHI, 1.0).value
         res = minimize_Fng(prob)
         assert res.energy_trace[-1] <= e_datum + 1e-12
         assert np.all(np.isfinite(res.v.values))
 
 
-def wavy_problem_1d(settings=SolverSettings()):
+def wavy_problem_1d(**stop):
     """A non-affine datum, so the datum start is not a critical point."""
     g = unit_interval_grid(48)
     datum = field_from_function(g, lambda x: 1.2 * x + 0.05 * np.sin(2 * np.pi * x))
     return DirichletProblem(full_mask(g, collar_width=0.15), datum,
-                            make_rescaled(box_kernel(1), 0.1), PHI, 1.0, settings)
+                            make_rescaled(box_kernel(1), 0.1), PHI, 1.0, **stop)
 
 
 class TestStopReason:
     def test_iteration_cap(self):
-        res = minimize_Fng(wavy_problem_1d(SolverSettings(max_iters=1)))
+        res = minimize_Fng(wavy_problem_1d(max_iters=1))
         assert res.iterations == 1
         assert not res.converged
         assert res.stop_reason == "max_iters"
@@ -119,7 +118,7 @@ class TestStopReason:
     def test_line_search_fails_at_zero_tolerance(self):
         # no gradient is exactly zero, so descent runs on until no trial
         # lowers the energy or every trial step rounds away
-        res = minimize_Fng(wavy_problem_1d(SolverSettings(grad_tol=0.0, max_iters=5000)))
+        res = minimize_Fng(wavy_problem_1d(grad_tol=0.0, max_iters=5000))
         assert not res.converged
         assert res.stop_reason == "line_search_failed"
         assert res.iterations < 5000
