@@ -3,10 +3,10 @@
 ``run`` executes the scenario described by a JSON config and writes a CSV
 table per experiment plus ``summary.json``.  Outputs are deterministic for a
 fixed (config, seed): randomized checks draw from a counter-based generator
-keyed by the seed, sweep points are computed independently and assembled in
-config order, and number formatting is fixed.  Exit codes: 0 all contracts
-pass, 1 contract failure, 2 parse error, 3 validation error, 4 numerical
-failure.
+keyed by the seed, every sweep runs serially in config order, and number
+formatting is fixed; ``--threads`` is accepted and has no effect.  Exit
+codes: 0 all contracts pass, 1 contract failure, 2 parse error, 3 validation
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,18 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import (EXPERIMENTS, SCHEMA, ConfigError, ScenarioConfig, parse_config,
-                     validate_config)
+from .config import EXPERIMENTS, SCHEMA, ConfigError, parse_config, validate_config
 from .constructions import laminate_energy_decay, rigidity_reconstruct, sawtooth_energy
-from .density import compute_bounds
+from .density import compute_bounds, density_lower, zero_set_predicate
 from .energy import build_pairs, energy_Fn, gradient_Fn
-from .grids import Grid, VectorField, box_grid, field_from_function, full_mask
+from .grids import (Grid, VectorField, box_grid, field_from_function, full_mask,
+                    sphere_quadrature)
 from .kernels import box_kernel, box_sequence, make_fractional, make_rescaled
 from .materials import catalog_potential, power_potential, quartic_potential
 from .solver import (DirichletProblem, linearization_experiment, localization_experiment,
@@ -55,21 +54,21 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream))
 
 
-def _grid_from_config(cfg: ScenarioConfig) -> tuple[Grid, float]:
-    dom = cfg.block("domain")
+def _grid_from_config(cfg: dict) -> tuple[Grid, float]:
+    dom = cfg["domain"]
     g = box_grid(dom["dim"], float(dom["lo"]), float(dom["hi"]), dom["n_cells"])
     return g, float(dom["collar"])
 
 
-def _kernel_from_config(cfg: ScenarioConfig, dim: int):
-    kern = cfg.block("kernel")
+def _kernel_from_config(cfg: dict, dim: int):
+    kern = cfg["kernel"]
     if kern["family"] == "box":
         return make_rescaled(box_kernel(dim), float(kern["delta"]))
     return make_fractional(dim, float(kern["s"]), float(kern["p"]))
 
 
-def _potential_from_config(cfg: ScenarioConfig):
-    pot = cfg.block("potential")
+def _potential_from_config(cfg: dict):
+    pot = cfg["potential"]
     if pot["profile"] == "quartic":
         return quartic_potential()
     return power_potential(float(pot["p"]), float(pot["scale"]))
@@ -81,21 +80,13 @@ def _matrix(entries) -> np.ndarray:
     return np.asarray(entries, dtype=float).reshape(d, d)
 
 
-def _map_indexed(fn, items, threads: int):
-    """Apply fn over items, optionally threaded, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations: each returns (csv_name, columns, rows, summary,
 # contracts) with contracts a dict name -> bool
 # ---------------------------------------------------------------------------
 
-def _run_sawtooth(cfg: ScenarioConfig, threads: int):
-    blk = cfg.block("sawtooth")
+def _run_sawtooth(cfg: dict):
+    blk = cfg["sawtooth"]
     r = sawtooth_energy(blk["N"], float(blk["delta"]),
                         None if blk["h"] is None else float(blk["h"]))
     tol = max(0.01, 10.0 * r.h / r.delta)
@@ -108,17 +99,13 @@ def _run_sawtooth(cfg: ScenarioConfig, threads: int):
     return "sawtooth.csv", cols, rows, {"value": r.value, "expected": r.expected}, contracts
 
 
-def _run_density(cfg: ScenarioConfig, threads: int):
-    blk = cfg.block("density")
+def _run_density(cfg: dict):
+    blk = cfg["density"]
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m"))
-
-    def one(entries):
-        F = _matrix(entries)
-        return compute_bounds(F, phi, m, order=blk["order"],
-                              with_laminate=blk["laminate_search"] and F.shape[0] == 2)
-
-    bounds = _map_indexed(one, blk["matrices"], threads)
+    m = float(cfg["strain_m"])
+    bounds = [compute_bounds(_matrix(entries), phi, m, order=blk["order"],
+                             with_laminate=blk["laminate_search"])
+              for entries in blk["matrices"]]
     rows, ordering_ok = [], True
     for b in bounds:
         rows.append(list(b.F.ravel()) + list(b.sigma)
@@ -132,10 +119,10 @@ def _run_density(cfg: ScenarioConfig, threads: int):
     return "density.csv", cols, rows, {"count": len(rows)}, {"bound_ordering": ordering_ok}
 
 
-def _run_laminate(cfg: ScenarioConfig, threads: int):
-    blk = cfg.block("laminate")
+def _run_laminate(cfg: dict):
+    blk = cfg["laminate"]
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m"))
+    m = float(cfg["strain_m"])
     rows_data = laminate_energy_decay(blk["lam"], blk["n_values"], phi, m)
     rows = [[r.n, r.k, r.energy] for r in rows_data]
     e = [r.energy for r in rows_data]
@@ -144,11 +131,11 @@ def _run_laminate(cfg: ScenarioConfig, threads: int):
     return "laminate.csv", ["n", "k", "energy"], rows, {"energies": e}, contracts
 
 
-def _run_rigidity(cfg: ScenarioConfig, threads: int):
-    blk = cfg.block("rigidity")
+def _run_rigidity(cfg: dict):
+    blk = cfg["rigidity"]
     trials = blk["trials"]
     grid = box_grid(2, -1.0, 1.0, blk["resolution"])
-    rng = _rng(cfg.seed, stream=1)
+    rng = _rng(cfg["seed"], stream=1)
     rows, ok = [], True
     for t in range(trials):
         th = rng.uniform(0.0, 2.0 * np.pi)
@@ -165,11 +152,11 @@ def _run_rigidity(cfg: ScenarioConfig, threads: int):
     return "rigidity.csv", cols, rows, {"trials": trials}, {"exact_reconstruction": ok}
 
 
-def _run_energy(cfg: ScenarioConfig, threads: int):
+def _run_energy(cfg: dict):
     grid, _ = _grid_from_config(cfg)
     kernel = _kernel_from_config(cfg, grid.dim)
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m"))
+    m = float(cfg["strain_m"])
     F = np.eye(grid.dim)
     v = VectorField(grid, grid.nodes() @ F.T)
     rep = energy_Fn(v, full_mask(grid), kernel, phi, m)
@@ -178,17 +165,17 @@ def _run_energy(cfg: ScenarioConfig, threads: int):
     return "energy.csv", list(summary), [list(summary.values())], summary, contracts
 
 
-def _run_minimize(cfg: ScenarioConfig, threads: int):
+def _run_minimize(cfg: dict):
     grid, collar = _grid_from_config(cfg)
     kernel = _kernel_from_config(cfg, grid.dim)
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m"))
-    blk = cfg.block("minimize")
+    m = float(cfg["strain_m"])
+    blk = cfg["minimize"]
     F = _matrix(blk["datum"])
     mask = full_mask(grid, collar if collar > 0 else 2 * kernel.support_radius)
     g = VectorField(grid, grid.nodes() @ F.T)
     prob = DirichletProblem(mask, g, kernel, phi, m, max_iters=blk["max_iters"])
-    res = minimize_multistart(prob, seed=cfg.seed)
+    res = minimize_multistart(prob, seed=cfg["seed"])
     affine = energy_Fn(g, mask, kernel, phi, m).value
     rows = [[i, e] for i, e in enumerate(res.energy_trace)]
     summary = {"energy": float(res.energy_trace[-1]), "affine_energy": affine,
@@ -199,13 +186,13 @@ def _run_minimize(cfg: ScenarioConfig, threads: int):
     return "minimize.csv", ["iteration", "energy"], rows, summary, contracts
 
 
-def _run_linearize(cfg: ScenarioConfig, threads: int):
+def _run_linearize(cfg: dict):
     grid, _ = _grid_from_config(cfg)
-    blk = cfg.block("linearize")
+    blk = cfg["linearize"]
     # an absent catalog parameter takes the catalog's default for the tag
-    w = catalog_potential(**{k: v for k, v in cfg.block("micropotential").items()
+    w = catalog_potential(**{k: v for k, v in cfg["micropotential"].items()
                              if v is not None})
-    m = float(cfg.block("strain_m"))
+    m = float(cfg["strain_m"])
     radius = blk["support_radius"]
     radius = 4.0 * float(np.mean(grid.h)) if radius is None else float(radius)
     if blk["field"] == "quadratic":
@@ -222,16 +209,16 @@ def _run_linearize(cfg: ScenarioConfig, threads: int):
     return "linearize.csv", cols, rows, summary, contracts
 
 
-def _run_localize(cfg: ScenarioConfig, threads: int):
+def _run_localize(cfg: dict):
     grid, collar = _grid_from_config(cfg)
-    blk = cfg.block("localize")
+    blk = cfg["localize"]
     phi = _potential_from_config(cfg)
-    m = float(cfg.block("strain_m"))
+    m = float(cfg["strain_m"])
     F = _matrix(blk["datum"])
     law = (lambda n: 1.0 / n) if blk["delta_law"] == "1/n" else (lambda n: 1.0 / n**2)
     base = grid.n_cells[0] if blk["base_cells"] is None else blk["base_cells"]
     seq = box_sequence(grid.dim, law)
-    dom = cfg.block("domain")
+    dom = cfg["domain"]
     lo, hi = float(dom["lo"]), float(dom["hi"])
 
     def grid_law(n):
@@ -240,7 +227,7 @@ def _run_localize(cfg: ScenarioConfig, threads: int):
 
     rows_data = localization_experiment(F, phi, m, seq, blk["n_values"], grid_law,
                                         collar_width=collar if collar > 0 else 0.1,
-                                        seed=cfg.seed)
+                                        seed=cfg["seed"])
     rows = [[r.n, r.energy, r.lp_dist_prev, r.lower_int, r.tilde_int]
             for r in rows_data]
     last = rows_data[-1]
@@ -250,9 +237,9 @@ def _run_localize(cfg: ScenarioConfig, threads: int):
     return "localize.csv", cols, rows, {"terminal_energy": last.energy}, contracts
 
 
-def _run_checks(cfg: ScenarioConfig, threads: int):
+def _run_checks(cfg: dict):
     """Randomized invariant battery, reproducible from the seed."""
-    rng = _rng(cfg.seed, stream=2)
+    rng = _rng(cfg["seed"], stream=2)
     phi = power_potential(2.0)
     results = {}
     # kernel masses
@@ -260,8 +247,6 @@ def _run_checks(cfg: ScenarioConfig, threads: int):
     masses += [make_fractional(2, 0.5, 2.0).mass()]
     results["kernel_mass_unit"] = bool(max(abs(m - 1.0) for m in masses) < 1e-6)
     # zero set vs lower bound
-    from .density import density_lower, zero_set_predicate
-    from .grids import sphere_quadrature
     q = sphere_quadrature(2, 256)
     agree = True
     for _ in range(25):
@@ -317,34 +302,22 @@ def _error_json(out_dir: Path | None, kind: str, detail) -> None:
 
 
 def cmd_run(args) -> int:
-    out_dir = Path(args.out) if args.out else None
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        _error_json(out_dir, exc.kind, exc.problems)
-        return EXIT_PARSE
+    cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg = ScenarioConfig(cfg.experiment, args.seed,
-                             {**cfg.raw, "seed": args.seed})
-    try:
-        cfg = validate_config(cfg)
-    except ConfigError as exc:
-        _error_json(out_dir, exc.kind, exc.problems)
-        return EXIT_VALIDATION
-
-    if out_dir is None:
-        out_dir = Path(args.config).parent / "out"
+        cfg["seed"] = args.seed
+    cfg = validate_config(cfg)
+    out_dir = Path(args.out) if args.out else Path(args.config).parent / "out"
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        csv_name, cols, rows, summary, contracts = _RUNNERS[cfg.experiment](cfg, args.threads)
+        csv_name, cols, rows, summary, contracts = _RUNNERS[cfg["experiment"]](cfg)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         _error_json(out_dir, "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_csv(out_dir / csv_name, cols, rows)
     passed = all(contracts.values())
     payload = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
+        "experiment": cfg["experiment"],
+        "seed": cfg["seed"],
         "version": __version__,
         "contracts": {k: bool(v) for k, v in sorted(contracts.items())},
         "passed": passed,
@@ -353,18 +326,13 @@ def cmd_run(args) -> int:
     }
     (out_dir / "summary.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"{cfg.experiment}: {'pass' if passed else 'FAIL'} -> {out_dir}")
+    print(f"{cfg['experiment']}: {'pass' if passed else 'FAIL'} -> {out_dir}")
     return EXIT_OK if passed else EXIT_CONTRACT
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        validate_config(cfg)
-    except ConfigError as exc:
-        _error_json(None, exc.kind, exc.problems)
-        return EXIT_PARSE if exc.kind == "parse" else EXIT_VALIDATION
-    print(f"valid: experiment={cfg.experiment}")
+    cfg = validate_config(parse_config(args.config))
+    print(f"valid: experiment={cfg['experiment']}")
     return EXIT_OK
 
 
@@ -390,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override config seed")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the density experiment's matrices")
+                     help="accepted for older scripts; has no effect")
     run.set_defaults(func=cmd_run)
     val = sub.add_parser("validate", help="validate a scenario config")
     val.add_argument("config")
@@ -402,7 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        # run writes error.json into --out when one is given
+        out = getattr(args, "out", None)
+        _error_json(Path(out) if out else None, exc.kind, exc.problems)
+        return EXIT_PARSE if exc.kind == "parse" else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

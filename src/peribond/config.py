@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
+
+import numpy as np
 
 from .materials import CATALOG_TAGS
 
@@ -125,20 +126,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """A parsed scenario; ``raw`` is the JSON object, and after
-    :func:`validate_config` it holds every block the experiment reads with
-    each default filled in."""
-
-    experiment: str
-    seed: int
-    raw: dict = field(repr=False)
-
-    def block(self, name: str) -> Any:
-        return self.raw[name]
-
-
 def _read(kind: str, v) -> Any:
     """``v`` as a value of ``kind``, integers as ``int``; _BAD if it is not one."""
     if kind == "bool":
@@ -227,9 +214,24 @@ def _check_cross(problems: list[str], cfg: dict) -> None:
         if datum is not None and "dim" in dom and len(datum) != dom["dim"] ** 2:
             problems.append(f"{name}.datum must have d*d entries for d = domain.dim "
                             f"= {dom['dim']}")
+    # minimize pins a collar of domain.collar, or of twice the kernel's support
+    # radius when that is 0; DirichletProblem needs it below half the node span
+    radius = {"box": kern.get("delta"), "fractional": 1.0}.get(kern.get("family"))
+    grid_keys = {"dim", "lo", "hi", "n_cells", "collar"}
+    if (cfg["experiment"] == "minimize" and grid_keys <= set(dom)
+            and dom["hi"] > dom["lo"] and (dom["collar"] or radius) is not None):
+        collar = dom["collar"] or 2 * radius
+        lo, hi, n = float(dom["lo"]), float(dom["hi"]), dom["n_cells"]
+        h = (hi - lo) / n
+        # the first and last node along an axis, as Grid.nodes places them
+        span = (lo + (n - 0.5) * h) - (lo + 0.5 * h)
+        half = 0.5 * float(np.linalg.norm(np.full(dom["dim"], span)))
+        if not collar < half:
+            problems.append(f"the minimize collar, {collar:g}, must be below half the "
+                            f"node span, {half:g}: set a smaller domain.collar")
 
 
-def parse_config(path: str) -> ScenarioConfig:
+def parse_config(path: str) -> dict:
     """Parse a scenario file; raises ConfigError("parse", ...) on bad JSON."""
     try:
         with open(path) as fh:
@@ -240,30 +242,29 @@ def parse_config(path: str) -> ScenarioConfig:
         raise ConfigError("parse", [f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError("parse", ["config must be a JSON object"])
-    exp = data.get("experiment")
-    seed = data.get("seed", 0)
-    return ScenarioConfig(str(exp), int(seed) if isinstance(seed, int) else 0, data)
+    return data
 
 
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+def validate_config(cfg: dict) -> dict:
     """Check ``cfg`` against :data:`SCHEMA`, :data:`EXPERIMENTS` and the
     rules that tie keys together; return it with every default filled in.
     Raises ConfigError("validation", ...) listing every problem found."""
-    if cfg.experiment not in EXPERIMENTS:
+    exp = cfg.get("experiment")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
         raise ConfigError("validation",
                           [f"experiment must be one of {tuple(EXPERIMENTS)}"])
     problems: list[str] = []
     blocks = [name for name in SCHEMA if name]
-    out = _check_block(problems, "", {k: v for k, v in cfg.raw.items() if k not in blocks})
-    reads = EXPERIMENTS[cfg.experiment]
+    out = _check_block(problems, "", {k: v for k, v in cfg.items() if k not in blocks})
+    reads = EXPERIMENTS[exp]
     for name in blocks:
-        if name in cfg.raw:
-            out[name] = _check_block(problems, name, cfg.raw[name])
+        if name in cfg:
+            out[name] = _check_block(problems, name, cfg[name])
         elif reads.get(name) is REQUIRED:
-            problems.append(f"experiment '{cfg.experiment}' requires block '{name}'")
+            problems.append(f"experiment '{exp}' requires block '{name}'")
         elif name in reads:
             out[name] = _check_block(problems, name, reads[name])
     _check_cross(problems, out)
     if problems:
         raise ConfigError("validation", problems)
-    return ScenarioConfig(cfg.experiment, out["seed"], out)
+    return out

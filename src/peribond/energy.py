@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .grids import Grid, SubdomainMask, VectorField, full_mask
 from .kernels import Kernel
@@ -109,6 +108,7 @@ class _Incidence:
     """
 
     def __init__(self, tails: np.ndarray, heads: np.ndarray, n_nodes: int):
+        from scipy import sparse  # here, not at the top: most runs build no such set
         n = len(tails)
         nodes = np.empty(2 * n, dtype=np.int32)
         nodes[0::2], nodes[1::2] = heads, tails

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import ndimage
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -132,6 +131,7 @@ class SubdomainMask:
             lo = np.asarray(g.origin)
             hi = lo + np.asarray(g.extent)
             return np.minimum(x - lo, hi - x).min(axis=1)
+        from scipy import ndimage  # here, not at the top: it loads scipy.special
         return ndimage.distance_transform_edt(shaped, sampling=g.h).ravel()
 
     def collar(self) -> np.ndarray:

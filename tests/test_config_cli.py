@@ -6,12 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import peribond.cli
 from peribond.cli import main
 from peribond.config import ConfigError, parse_config, validate_config
-from peribond.solver import LinearizationRow, LinearizationTable
+from peribond.grids import VectorField, box_grid, full_mask
+from peribond.kernels import box_kernel
+from peribond.materials import power_potential
+from peribond.solver import DirichletProblem, LinearizationRow, LinearizationTable
 
 GOOD_SAWTOOTH = {"experiment": "sawtooth", "seed": 7,
                  "sawtooth": {"N": 4, "delta": 0.02}}
@@ -131,13 +135,44 @@ class TestSchema:
         with_keys(GOOD_LOCALIZE, "localize", datum=[1.0, 0.0, 0.0, 1.0]),
         {"experiment": "sawtooth", "sawtooth": 5},
         {"experiment": "rigidity", "rigidity": [8]},
-    ], ids=["minimize-datum-d", "localize-datum-d", "number-block", "list-block"])
+        {"experiment": ["density"]},
+        {"experiment": {"a": 1}},
+        # the default collar, twice the unit support radius, is not below
+        # half the node span 31/32
+        {**GOOD_MINIMIZE, "domain": {**DOMAIN_1D, "n_cells": 32},
+         "kernel": {"family": "fractional", "s": 0.5, "p": 2}},
+        {**GOOD_MINIMIZE, "domain": {**DOMAIN_1D, "collar": 0.5}},
+    ], ids=["minimize-datum-d", "localize-datum-d", "number-block", "list-block",
+            "list-experiment", "object-experiment", "minimize-default-collar",
+            "minimize-given-collar"])
     def test_rejected_before_running(self, tmp_path, capsys, cfg):
         path = write(tmp_path, "c.json", cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
         assert main(["validate", path]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_minimize_collar_rule_matches_the_problem(self, tmp_path, capsys, dim):
+        """validate accepts a minimize collar exactly when DirichletProblem does."""
+        domain = {"dim": dim, "lo": -0.3, "hi": 0.7, "n_cells": 7}
+        grid = box_grid(dim, -0.3, 0.7, 7)
+        x = grid.nodes()
+        half = 0.5 * float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
+        datum = np.eye(dim).ravel().tolist()
+        results = []
+        for collar in (np.nextafter(half, 0.0), half, np.nextafter(half, 1.0)):
+            try:
+                DirichletProblem(full_mask(grid, collar), VectorField(grid, x),
+                                 box_kernel(dim), power_potential(2.0))
+                accepted = True
+            except ValueError:
+                accepted = False
+            cfg = with_keys({**GOOD_MINIMIZE, "domain": domain,
+                             "minimize": {"datum": datum}}, "domain", collar=float(collar))
+            results.append((accepted, main(["validate", write(tmp_path, "c.json", cfg)])))
+            capsys.readouterr()
+        assert results == [(True, 0), (False, 3), (False, 3)]
 
     def test_null_h_runs(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", with_keys(GOOD_SAWTOOTH, "sawtooth", h=None))
@@ -148,12 +183,12 @@ class TestSchema:
     def test_defaults_filled_in(self, tmp_path):
         cfg = validate_config(parse_config(write(tmp_path, "c.json", {
             "experiment": "rigidity", "seed": 2.0})))
-        assert cfg.seed == 2 and isinstance(cfg.seed, int)
-        assert cfg.block("rigidity") == {"trials": 5, "resolution": 64}
-        assert cfg.block("strain_m") == 1
+        assert cfg["seed"] == 2 and isinstance(cfg["seed"], int)
+        assert cfg["rigidity"] == {"trials": 5, "resolution": 64}
+        assert cfg["strain_m"] == 1
         cfg = validate_config(parse_config(write(tmp_path, "c.json", GOOD_DENSITY)))
-        assert cfg.block("density")["laminate_search"] is True
-        assert cfg.block("density")["order"] == 64
+        assert cfg["density"]["laminate_search"] is True
+        assert cfg["density"]["order"] == 64
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_validates(self, path, capsys):
@@ -260,6 +295,20 @@ class TestArtifacts:
         assert sorted(payload["summary"]) == ["h", "pair_count", "value"]
         assert (out / "energy.csv").read_text().splitlines()[0] == "value,pair_count,h"
 
+    def test_3d_density_laminate_flag_changes_nothing(self, tmp_path, capsys):
+        # the laminate search runs only for d = 2
+        cfg = {**GOOD_DENSITY, "density": {"matrices": [[1.2, 0, 0, 0, 0.9, 0, 0, 0, 0.7]],
+                                           "order": 8}}
+        outs = []
+        for search in (True, False):
+            out = tmp_path / f"out{search}"
+            path = write(tmp_path, "c.json",
+                         with_keys(cfg, "density", laminate_search=search))
+            assert main(["run", path, "--out", str(out)]) == 0
+            outs.append((out / "density.csv").read_bytes())
+        capsys.readouterr()
+        assert outs[0] == outs[1]
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", GOOD_CHECKS)
         out = tmp_path / "out"
@@ -329,3 +378,13 @@ class TestConsoleScript:
             capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0
         assert "pass" in proc.stdout
+
+    def test_import_loads_no_scipy_submodule(self, child_env):
+        # scipy.ndimage and scipy.sparse load only where they run
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, peribond, peribond.cli; print(sorted("
+             "m for m in ('scipy.ndimage', 'scipy.sparse') if m in sys.modules))"],
+            capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
