@@ -4,9 +4,10 @@
 table per experiment plus ``summary.json``.  Outputs are deterministic for a
 fixed (config, seed): randomized checks draw from a counter-based generator
 keyed by the seed, every sweep runs serially in config order, and number
-formatting is fixed; ``--threads`` is accepted and has no effect.  Exit
-codes: 0 all contracts pass, 1 contract failure, 2 parse error, 3 validation
-error, 4 numerical failure.
+formatting is fixed; ``--threads`` is accepted and has no effect.  Both ``run``
+and ``validate`` check each minimize or localize grid's collar with
+``SubdomainMask.collar_fits``.  Exit codes: 0 all contracts pass, 1 contract
+failure, 2 parse error, 3 validation error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .solver import (DirichletProblem, linearization_experiment, localization_ex
                      minimize_multistart)
 
 EXIT_OK, EXIT_CONTRACT, EXIT_PARSE, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 1, 2, 3, 4
+_DELTA_LAWS = {"1/n": lambda n: 1.0 / n, "1/n^2": lambda n: 1.0 / n**2}  # localize's horizon
 
 
 def _fmt(x) -> str:
@@ -54,14 +56,13 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=stream))
 
 
-def _grid_from_config(cfg: dict) -> tuple[Grid, float]:
+def _grid_from_config(cfg: dict) -> Grid:
     dom = cfg["domain"]
-    g = box_grid(dom["dim"], float(dom["lo"]), float(dom["hi"]), dom["n_cells"])
-    return g, float(dom["collar"])
+    return box_grid(dom["dim"], float(dom["lo"]), float(dom["hi"]), dom["n_cells"])
 
 
-def _kernel_from_config(cfg: dict, dim: int):
-    kern = cfg["kernel"]
+def _kernel_from_config(cfg: dict):
+    kern, dim = cfg["kernel"], cfg["domain"]["dim"]
     if kern["family"] == "box":
         return make_rescaled(box_kernel(dim), float(kern["delta"]))
     return make_fractional(dim, float(kern["s"]), float(kern["p"]))
@@ -78,6 +79,35 @@ def _matrix(entries) -> np.ndarray:
     """A validated flat row-major d*d list as a (d, d) array."""
     d = round(len(entries) ** 0.5)
     return np.asarray(entries, dtype=float).reshape(d, d)
+
+
+def _localize_grid(cfg: dict, n: int) -> Grid:
+    """localize's grid at index n: four cells per horizon, at least base_cells
+    and at most 512 per axis (the 1e-12 keeps round-off from adding a cell)."""
+    dom, blk = cfg["domain"], cfg["localize"]
+    lo, hi = float(dom["lo"]), float(dom["hi"])
+    base = dom["n_cells"] if blk["base_cells"] is None else blk["base_cells"]
+    cells = np.ceil(4.0 / (_DELTA_LAWS[blk["delta_law"]](n) / (hi - lo)) - 1e-12)
+    return box_grid(dom["dim"], lo, hi, int(min(512, max(base, cells))))
+
+
+def _validated(cfg: dict) -> dict:
+    """validate_config, then DirichletProblem's collar rule on each minimize or
+    localize grid, with domain.collar resolved (0: the runner's own default)."""
+    cfg = validate_config(cfg)
+    exp, dom = cfg["experiment"], cfg.get("domain")
+    if exp not in ("minimize", "localize"):
+        return cfg
+    default = 2 * _kernel_from_config(cfg).support_radius if exp == "minimize" else 0.1
+    dom["collar"] = float(dom["collar"] or default)
+    grids = ([_grid_from_config(cfg)] if exp == "minimize" else
+             [_localize_grid(cfg, n) for n in cfg["localize"]["n_values"]])
+    for g in grids:
+        if not full_mask(g, dom["collar"]).collar_fits():
+            raise ConfigError("validation", [
+                f"the {exp} collar, {dom['collar']:g}, must be below half the node span "
+                f"of the grid with {g.n_cells[0]} cells per axis: set a smaller domain.collar"])
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +183,8 @@ def _run_rigidity(cfg: dict):
 
 
 def _run_energy(cfg: dict):
-    grid, _ = _grid_from_config(cfg)
-    kernel = _kernel_from_config(cfg, grid.dim)
+    grid = _grid_from_config(cfg)
+    kernel = _kernel_from_config(cfg)
     phi = _potential_from_config(cfg)
     m = float(cfg["strain_m"])
     F = np.eye(grid.dim)
@@ -166,13 +196,13 @@ def _run_energy(cfg: dict):
 
 
 def _run_minimize(cfg: dict):
-    grid, collar = _grid_from_config(cfg)
-    kernel = _kernel_from_config(cfg, grid.dim)
+    grid = _grid_from_config(cfg)
+    kernel = _kernel_from_config(cfg)
     phi = _potential_from_config(cfg)
     m = float(cfg["strain_m"])
     blk = cfg["minimize"]
     F = _matrix(blk["datum"])
-    mask = full_mask(grid, collar if collar > 0 else 2 * kernel.support_radius)
+    mask = full_mask(grid, cfg["domain"]["collar"])
     g = VectorField(grid, grid.nodes() @ F.T)
     prob = DirichletProblem(mask, g, kernel, phi, m, max_iters=blk["max_iters"])
     res = minimize_multistart(prob, seed=cfg["seed"])
@@ -187,7 +217,7 @@ def _run_minimize(cfg: dict):
 
 
 def _run_linearize(cfg: dict):
-    grid, _ = _grid_from_config(cfg)
+    grid = _grid_from_config(cfg)
     blk = cfg["linearize"]
     # an absent catalog parameter takes the catalog's default for the tag
     w = catalog_potential(**{k: v for k, v in cfg["micropotential"].items()
@@ -210,23 +240,14 @@ def _run_linearize(cfg: dict):
 
 
 def _run_localize(cfg: dict):
-    grid, collar = _grid_from_config(cfg)
     blk = cfg["localize"]
     phi = _potential_from_config(cfg)
     m = float(cfg["strain_m"])
     F = _matrix(blk["datum"])
-    law = (lambda n: 1.0 / n) if blk["delta_law"] == "1/n" else (lambda n: 1.0 / n**2)
-    base = grid.n_cells[0] if blk["base_cells"] is None else blk["base_cells"]
-    seq = box_sequence(grid.dim, law)
-    dom = cfg["domain"]
-    lo, hi = float(dom["lo"]), float(dom["hi"])
-
-    def grid_law(n):
-        cells = int(min(512, max(base, np.ceil(4.0 / (law(n) / (hi - lo))))))
-        return box_grid(grid.dim, lo, hi, cells)
-
-    rows_data = localization_experiment(F, phi, m, seq, blk["n_values"], grid_law,
-                                        collar_width=collar if collar > 0 else 0.1,
+    seq = box_sequence(cfg["domain"]["dim"], _DELTA_LAWS[blk["delta_law"]])
+    rows_data = localization_experiment(F, phi, m, seq, blk["n_values"],
+                                        lambda n: _localize_grid(cfg, n),
+                                        collar_width=cfg["domain"]["collar"],
                                         seed=cfg["seed"])
     rows = [[r.n, r.energy, r.lp_dist_prev, r.lower_int, r.tilde_int]
             for r in rows_data]
@@ -305,7 +326,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    cfg = validate_config(cfg)
+    cfg = _validated(cfg)
     out_dir = Path(args.out) if args.out else Path(args.config).parent / "out"
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -331,7 +352,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = validate_config(parse_config(args.config))
+    cfg = _validated(parse_config(args.config))
     print(f"valid: experiment={cfg['experiment']}")
     return EXIT_OK
 

@@ -18,8 +18,6 @@ import json
 import operator
 from typing import Any, NamedTuple
 
-import numpy as np
-
 from .materials import CATALOG_TAGS
 
 #: the default of a key, or the value of a block, that the config must give
@@ -67,7 +65,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
                "lo": Key("num"),
                "hi": Key("num"),
                "n_cells": Key("int", bounds=">= 2"),
-               # 0 lets minimize and localize pick their own collar
+               # 0 lets minimize and localize pick their own collar; the CLI
+               # checks it on each of their grids with SubdomainMask.collar_fits
                "collar": Key("num", 0.0, ">= 0")},
     # delta for family box, s and p for fractional
     "kernel": {"family": Key("str", choices=("box", "fractional")),
@@ -214,21 +213,6 @@ def _check_cross(problems: list[str], cfg: dict) -> None:
         if datum is not None and "dim" in dom and len(datum) != dom["dim"] ** 2:
             problems.append(f"{name}.datum must have d*d entries for d = domain.dim "
                             f"= {dom['dim']}")
-    # minimize pins a collar of domain.collar, or of twice the kernel's support
-    # radius when that is 0; DirichletProblem needs it below half the node span
-    radius = {"box": kern.get("delta"), "fractional": 1.0}.get(kern.get("family"))
-    grid_keys = {"dim", "lo", "hi", "n_cells", "collar"}
-    if (cfg["experiment"] == "minimize" and grid_keys <= set(dom)
-            and dom["hi"] > dom["lo"] and (dom["collar"] or radius) is not None):
-        collar = dom["collar"] or 2 * radius
-        lo, hi, n = float(dom["lo"]), float(dom["hi"]), dom["n_cells"]
-        h = (hi - lo) / n
-        # the first and last node along an axis, as Grid.nodes places them
-        span = (lo + (n - 0.5) * h) - (lo + 0.5 * h)
-        half = 0.5 * float(np.linalg.norm(np.full(dom["dim"], span)))
-        if not collar < half:
-            problems.append(f"the minimize collar, {collar:g}, must be below half the "
-                            f"node span, {half:g}: set a smaller domain.collar")
 
 
 def parse_config(path: str) -> dict:

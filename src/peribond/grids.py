@@ -134,6 +134,17 @@ class SubdomainMask:
         from scipy import ndimage  # here, not at the top: it loads scipy.special
         return ndimage.distance_transform_edt(shaped, sampling=g.h).ravel()
 
+    def collar_fits(self) -> bool:
+        """Whether collar_width is below half the diameter of the active nodes
+        (never if there are none).  The diameter is their bounding box's, its
+        corners placed with Grid.nodes' arithmetic, so no node array is built."""
+        g, shaped = self.grid, self.active.reshape(self.grid.n_cells)
+        hits = [np.flatnonzero(shaped.any(axis=tuple(set(range(g.dim)) - {a})))
+                for a in range(g.dim)]
+        span = [(o + (k[-1] + 0.5) * hh) - (o + (k[0] + 0.5) * hh) if k.size else np.nan
+                for o, hh, k in zip(g.origin, g.h, hits)]
+        return bool(self.collar_width < 0.5 * float(np.linalg.norm(span)))
+
     def collar(self) -> np.ndarray:
         """Boolean mask of active nodes with dist(x, complement) < collar_width."""
         d = self.distance_to_complement()

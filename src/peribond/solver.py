@@ -50,9 +50,7 @@ class DirichletProblem:
     def __post_init__(self):
         if self.mask.collar_width <= 0:
             raise ValueError("Dirichlet problems need a positive collar width")
-        x = self.mask.grid.nodes()[self.mask.active]
-        diam = float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
-        if not self.mask.collar_width < 0.5 * diam:
+        if not self.mask.collar_fits():
             raise ValueError("collar width must be below half the domain diameter")
 
     @property
@@ -289,7 +287,7 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
                             phi: Potential, m: float, seq: KernelSequence,
                             n_values: Sequence[int],
                             grid_law: Callable[[int], Grid],
-                            collar_width: float = 0.1,
+                            collar_width: float,
                             seed: int = 0) -> list[LocalizationRow]:
     """Constrained minimizers along a concentrating kernel sequence.
 

@@ -142,9 +142,12 @@ class TestSchema:
         {**GOOD_MINIMIZE, "domain": {**DOMAIN_1D, "n_cells": 32},
          "kernel": {"family": "fractional", "s": 0.5, "p": 2}},
         {**GOOD_MINIMIZE, "domain": {**DOMAIN_1D, "collar": 0.5}},
+        # the default collar 0.1 is not below half the node span 0.065625 of
+        # the 8-cell grid on [0, 0.15] that localize builds at n = 2
+        {**GOOD_LOCALIZE, "domain": {"dim": 1, "lo": 0.0, "hi": 0.15, "n_cells": 8}},
     ], ids=["minimize-datum-d", "localize-datum-d", "number-block", "list-block",
             "list-experiment", "object-experiment", "minimize-default-collar",
-            "minimize-given-collar"])
+            "minimize-given-collar", "localize-default-collar"])
     def test_rejected_before_running(self, tmp_path, capsys, cfg):
         path = write(tmp_path, "c.json", cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
@@ -152,14 +155,20 @@ class TestSchema:
         assert main(["validate", path]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("experiment", ["minimize", "localize"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_minimize_collar_rule_matches_the_problem(self, tmp_path, capsys, dim):
-        """validate accepts a minimize collar exactly when DirichletProblem does."""
+    def test_collar_rule_matches_the_problem(self, tmp_path, capsys, dim, experiment):
+        """validate accepts a collar exactly when DirichletProblem does on the
+        run's coarsest grid: minimize's one grid, or localize's at n = 1 of
+        n_values [1, 2] (7 cells per axis; n = 2 gets 8)."""
         domain = {"dim": dim, "lo": -0.3, "hi": 0.7, "n_cells": 7}
         grid = box_grid(dim, -0.3, 0.7, 7)
         x = grid.nodes()
         half = 0.5 * float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
         datum = np.eye(dim).ravel().tolist()
+        block = {"datum": datum} if experiment == "minimize" else {"datum": datum,
+                                                                   "n_values": [1, 2]}
+        base = GOOD_MINIMIZE if experiment == "minimize" else GOOD_LOCALIZE
         results = []
         for collar in (np.nextafter(half, 0.0), half, np.nextafter(half, 1.0)):
             try:
@@ -168,11 +177,21 @@ class TestSchema:
                 accepted = True
             except ValueError:
                 accepted = False
-            cfg = with_keys({**GOOD_MINIMIZE, "domain": domain,
-                             "minimize": {"datum": datum}}, "domain", collar=float(collar))
+            cfg = with_keys({**base, "domain": domain, experiment: block},
+                            "domain", collar=float(collar))
             results.append((accepted, main(["validate", write(tmp_path, "c.json", cfg)])))
             capsys.readouterr()
         assert results == [(True, 0), (False, 3), (False, 3)]
+
+    @pytest.mark.parametrize("law,n,cells", [("1/n", 49, 196), ("1/n", 98, 392),
+                                             ("1/n", 103, 412), ("1/n", 107, 428),
+                                             ("1/n^2", 7, 196)])
+    def test_localize_grid_law_keeps_integer_quotients(self, law, n, cells):
+        """Four cells per horizon on [0, 1]: where 4 / delta is an integer up
+        to round-off, the grid gets that many cells, not one more."""
+        cfg = validate_config(with_keys(GOOD_LOCALIZE, "localize", delta_law=law,
+                                         n_values=[n]))
+        assert peribond.cli._localize_grid(cfg, n).n_cells == (cells,)
 
     def test_null_h_runs(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", with_keys(GOOD_SAWTOOTH, "sawtooth", h=None))

@@ -6,7 +6,7 @@ import pytest
 
 from peribond.constructions import laminate_profile
 from peribond.energy import energy_Fn, gradient_Fn
-from peribond.grids import (VectorField, affine_field, box_grid,
+from peribond.grids import (Grid, SubdomainMask, VectorField, affine_field, box_grid,
                             field_from_function, full_mask,
                             unit_interval_grid)
 from peribond.kernels import box_kernel, box_sequence, make_rescaled
@@ -34,6 +34,33 @@ class TestDirichletProblem:
     def test_requires_thin_collar(self):
         with pytest.raises(ValueError):
             problem_1d(1.0, collar=0.6)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_collar_rule_on_irregular_masks(self, dim):
+        """On irregular masks over non-cubic grids a collar is accepted exactly
+        when it is below half the diameter of the active nodes, taken as
+        0.5 * |max - min| of their coordinates: one float below, at and above."""
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            grid = Grid(dim, tuple(float(o) for o in rng.uniform(-1.0, 1.0, dim)),
+                        tuple(float(e) for e in rng.uniform(0.1, 3.0, dim)),
+                        tuple(int(n) for n in rng.integers(2, 9, dim)))
+            active = rng.random(grid.n_nodes) < rng.uniform(0.05, 0.9)
+            active[rng.choice(grid.n_nodes, 2, replace=False)] = True
+            x = grid.nodes()[active]
+            half = 0.5 * float(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
+            datum = affine_field(grid, np.eye(dim))
+            for collar in (np.nextafter(half, 0.0), half, np.nextafter(half, np.inf)):
+                try:
+                    DirichletProblem(SubdomainMask(grid, active, collar), datum,
+                                     box_kernel(dim), PHI)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (collar < half)
+        with pytest.raises(ValueError, match="below half"):
+            DirichletProblem(SubdomainMask(grid, np.zeros(grid.n_nodes, bool), 0.1),
+                             datum, box_kernel(dim), PHI)
 
     def test_free_set(self):
         prob = problem_1d(1.0, n=10, collar=0.25)
