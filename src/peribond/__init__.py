@@ -9,8 +9,7 @@ from .grids import (Grid, SphereQuadrature, SubdomainMask, VectorField,
                     full_mask, sphere_quadrature, unit_interval_grid)
 from .kernels import (Kernel, KernelSequence, box_kernel, box_sequence,
                       check_assumption_A, check_density_condition, custom_radial,
-                      derived_interaction_kernel, fractional_sequence,
-                      make_fractional, make_rescaled)
+                      fractional_sequence, make_fractional, make_rescaled)
 from .materials import (CATALOG_TAGS, MicroPotential, Potential,
                         catalog_potential, huber_power, power_potential,
                         quartic_potential, strain, tabulated_potential)

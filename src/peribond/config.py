@@ -77,7 +77,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "potential": {"profile": Key("str", "power", choices=("power", "quartic")),
                   "p": Key("num", None, "> 1"),
                   "scale": Key("num", 1.0, "> 0")},
-    # absent parameters take the catalog's default for the tag
+    # absent parameters take the catalog's default for the tag; a given one
+    # must be among those CATALOG_TAGS lists for the tag
     "micropotential": {"tag": Key("str", choices=tuple(sorted(CATALOG_TAGS))),
                        "s0": Key("num", None, "> 0"),
                        "c": Key("num", None, "> 0")},
@@ -208,6 +209,10 @@ def _check_cross(problems: list[str], cfg: dict) -> None:
     eps = cfg.get("linearize", {}).get("eps")
     if eps is not None and (len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:]))):
         problems.append("linearize.eps must hold >= 2 strictly decreasing numbers")
+    mp = cfg.get("micropotential", {})
+    for key, v in mp.items():
+        if key != "tag" and v is not None and "tag" in mp and key not in CATALOG_TAGS[mp["tag"]]:
+            problems.append(f"micropotential.{key} is not read by tag '{mp['tag']}'")
     for name in ("minimize", "localize"):
         datum = cfg.get(name, {}).get("datum")
         if datum is not None and "dim" in dom and len(datum) != dom["dim"] ** 2:

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import Grid, SubdomainMask, VectorField, full_mask
+from .grids import Grid, SubdomainMask, VectorField
 from .kernels import Kernel
 from .materials import MicroPotential, Potential, strain
 
@@ -422,7 +422,7 @@ def seminorm_W(v: VectorField, kernel: Kernel, p: float,
                A: SubdomainMask | None = None, pairs: PairSet | None = None) -> float:
     """p-th power of the nonlocal seminorm: double sum of rho |v(x)-v(y)|^p / |x-y|^p."""
     if pairs is None:
-        pairs = build_pairs(v.grid, A or full_mask(v.grid), kernel.support_radius)
+        pairs = build_pairs(v.grid, A, kernel.support_radius)
     total = 0.0
     for run, dv, r in _bond_runs(pairs, v.values):
         total += float(np.sum(run.per_bond(kernel(run.r)) * (_norm(dv) / r)**p))

@@ -1,4 +1,4 @@
-"""Radial localizing kernels and the interaction kernel derived from a micro-potential.
+"""Radial localizing kernels, their rescalings and checks of the kernel assumptions.
 
 A kernel here is a nonnegative radial profile rho with compact support and
 unit mass; sequences of kernels concentrating at the origin drive the
@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-from .materials import MicroPotential
 
 #: surface area of the unit sphere S^{d-1}
 SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -231,21 +229,3 @@ def check_density_condition(kernel: Kernel, p: float) -> DensityConditionReport:
     passed = bool(np.all(np.isfinite(vals)) and vals[-1] > 0
                   and np.all(ratios[-3:] > 1.05))
     return DensityConditionReport(deltas, vals, ratios, passed)
-
-
-def derived_interaction_kernel(w: MicroPotential) -> Callable[[np.ndarray], np.ndarray]:
-    """Radial interaction profile rho(r) = k(r) * d2Psi/ds2(r, 0).
-
-    This is the kernel entering the quadratic small-displacement energy.  The
-    second derivative comes from a registered closed form when available and
-    otherwise from Richardson-extrapolated central differences; a symmetry
-    check rejects profiles that are not twice differentiable at 0.  The
-    result is generally not mass-1.
-    """
-    psi_ss0 = w.second_derivative_at_zero  # validates differentiability
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return w.k(r) * psi_ss0(r)
-
-    return profile

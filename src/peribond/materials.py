@@ -1,14 +1,16 @@
 """Strain functions, convex profiles with p-growth, and the micro-potential catalog.
 
 The nonlinear strain of order m maps the stretch t = |Dv| to (t^m - 1)/m.
-Micro-potentials w(xi, s) = k(xi) * Psi(xi, s) are stored as radial weight
-plus profile, with the Hooke constants of their small-strain regime.
+Micro-potentials w(xi, s) = Psi(|xi|, s) are stored as the profile Psi with
+its closed-form second derivative at s = 0, the interaction kernel of the
+quadratic small-displacement energy, and the Hooke constants of their
+small-strain regime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -121,92 +123,57 @@ def quartic_potential() -> Potential:
 
 
 # --------------------------------------------------------------------------
-# micro-potentials w(xi, s) = k(xi) Psi(xi, s)
-
-
-_FD_STEP = 1e-5
-
-
-def _fd_psi_ss(psi, r, s, step=_FD_STEP):
-    """Richardson-extrapolated central second difference of Psi in s."""
-    def d2(h):
-        return (psi(r, s + h) - 2.0 * psi(r, s) + psi(r, s - h)) / h**2
-
-    return (4.0 * d2(step / 2.0) - d2(step)) / 3.0
+# micro-potentials w(xi, s) = Psi(|xi|, s)
 
 
 @dataclass(frozen=True)
 class MicroPotential:
-    """Pairwise stored-energy density w(xi, s) = k(|xi|) * Psi(|xi|, s).
+    """Pairwise stored-energy density w(xi, s) = Psi(|xi|, s).
 
-    ``k`` is a radial weight (vectorized over radii); ``psi`` is vectorized
-    over (radii, strains).  ``psi_ss0`` optionally registers the closed-form
-    second derivative of Psi at s = 0 as a function of radius.  ``c1``,
-    ``c2``, ``delta0`` are the Hooke constants of the small-strain regime.
+    ``psi`` is vectorized over (radii, strains); ``psi_ss0`` is the
+    closed-form second derivative d2Psi/ds2(r, 0) as a function of radius,
+    the interaction kernel of the quadratic small-displacement energy.
+    ``c1``, ``c2``, ``delta0`` are the Hooke constants of the small-strain
+    regime.
     """
 
     tag: str
-    k: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    psi_ss0: Callable[[np.ndarray], np.ndarray]
     c1: float
     c2: float
     delta0: float
-    psi_ss0: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, r, s) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return self.k(r) * self.psi(r, s)
-
-    @property
-    def second_derivative_at_zero(self) -> Callable[[np.ndarray], np.ndarray]:
-        """d2Psi/ds2(., 0), closed form if registered, else finite differences.
-
-        The finite-difference route validates twice-differentiability at 0:
-        the rest energy must vanish, the odd part must be O(step^2), and the
-        Richardson pair must agree.
-        """
-        if self.psi_ss0 is not None:
-            return self.psi_ss0
-        psi = self.psi
-        probe = np.asarray([0.5, 1.0])
-        if np.max(np.abs(psi(probe, np.zeros(2)))) > 1e-12:
-            raise ValueError("Psi(., 0) must vanish")
-        h = _FD_STEP
-        odd = np.abs(psi(probe, np.full(2, h)) - psi(probe, np.full(2, -h))) / h
-        d2a = (psi(probe, np.full(2, h)) - 2 * psi(probe, np.zeros(2)) + psi(probe, np.full(2, -h))) / h**2
-        d2b = (psi(probe, np.full(2, h / 2)) - 2 * psi(probe, np.zeros(2)) + psi(probe, np.full(2, -h / 2))) / (h / 2)**2
-        scale = np.maximum(np.abs(d2a), 1.0)
-        if np.any(odd > 1e-3 * scale) or np.any(np.abs(d2a - d2b) > 1e-2 * scale):
-            raise ValueError("Psi is not twice differentiable at s = 0 "
-                             "(finite-difference symmetry check failed)")
-
-        def fd(r):
-            r = np.asarray(r, dtype=float)
-            return _fd_psi_ss(psi, r, np.zeros_like(r))
-
-        return fd
+        return self.psi(r, s)
 
 
-def _unit_weight(r):
-    return np.ones_like(np.asarray(r, dtype=float))
+#: tags accepted by :func:`catalog_potential`, each with the parameters it reads
+CATALOG_TAGS = {"mbm": ("s0", "c"), "mbm_smooth": ("c",), "modified_mbm": ("s0", "c"),
+                "cohesive": ("f", "fprime0"), "quartic": (), "two_well": ("s0",)}
 
 
-#: tags accepted by :func:`catalog_potential`
-CATALOG_TAGS = frozenset(
-    {"mbm", "mbm_smooth", "modified_mbm", "cohesive", "quartic", "two_well"})
+def _constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda r: np.full_like(np.asarray(r, dtype=float), c)
 
 
 def catalog_potential(tag: str, **params) -> MicroPotential:
-    """Build a catalog micro-potential by tag, with the unit radial weight.
+    """Build a catalog micro-potential by tag, with its closed-form Psi''(r, 0).
 
     Tags: ``mbm`` (brittle, quadratic below a strain threshold s0),
     ``mbm_smooth`` (the unbroken quadratic branch), ``modified_mbm``
     (force weakens smoothly), ``cohesive`` (bounded profile f of r*s^2,
     x / (1 + x) unless ``f`` is given, with ``fprime0`` = f'(0)),
     ``quartic`` (stretch-quartic (t^2-1)^2 written in strain variables),
-    ``two_well`` (wells at 0 and s0).
+    ``two_well`` (wells at 0 and s0).  A parameter the tag does not read,
+    as listed in :data:`CATALOG_TAGS`, raises ValueError.
     """
+    if tag not in CATALOG_TAGS:
+        raise ValueError(f"unknown catalog tag {tag!r}")
+    for name in params:
+        if name not in CATALOG_TAGS[tag]:
+            raise ValueError(f"parameter {name!r} is not read by catalog tag {tag!r}")
+
     if tag == "mbm":
         s0 = params.get("s0", 0.1)
         c = params.get("c", 2.0)
@@ -215,8 +182,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return np.where(s <= s0, 0.5 * c * s**2, 0.5 * c * s0**2)
 
-        return MicroPotential("mbm", _unit_weight, psi, c1=c / 2, c2=c, delta0=s0,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
+        return MicroPotential("mbm", psi, _constant(c), c1=c / 2, c2=c, delta0=s0)
 
     if tag == "mbm_smooth":
         c = params.get("c", 2.0)
@@ -224,8 +190,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
         def psi(r, s):
             return 0.5 * c * np.asarray(s, dtype=float) ** 2
 
-        return MicroPotential("mbm_smooth", _unit_weight, psi, c1=c / 2, c2=c, delta0=1.0,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
+        return MicroPotential("mbm_smooth", psi, _constant(c), c1=c / 2, c2=c, delta0=1.0)
 
     if tag == "modified_mbm":
         s0 = params.get("s0", 0.5)
@@ -235,8 +200,8 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return 0.5 * c * s0**2 * (1.0 - np.exp(-(s / s0) ** 2))
 
-        return MicroPotential("modified_mbm", _unit_weight, psi, c1=c / 4, c2=c, delta0=s0 / 2,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), c))
+        return MicroPotential("modified_mbm", psi, _constant(c), c1=c / 4, c2=c,
+                              delta0=s0 / 2)
 
     if tag == "cohesive":
         f = params.get("f")
@@ -254,9 +219,9 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             return f(r * s**2)
 
         # d2/ds2 f(r s^2) at 0 = 2 r f'(0)
-        return MicroPotential("cohesive", _unit_weight, psi, c1=fprime0 / 4, c2=4.0 * fprime0,
-                              delta0=0.25,
-                              psi_ss0=lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float))
+        return MicroPotential("cohesive", psi,
+                              lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float),
+                              c1=fprime0 / 4, c2=4.0 * fprime0, delta0=0.25)
 
     if tag == "quartic":
         # stretch form (t^2 - 1)^2 with t = 1 + s:  Psi(s) = ((1+s)^2 - 1)^2
@@ -264,17 +229,12 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return (s * (s + 2.0)) ** 2
 
-        return MicroPotential("quartic", _unit_weight, psi, c1=2.0, c2=24.0, delta0=0.25,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 8.0))
+        return MicroPotential("quartic", psi, _constant(8.0), c1=2.0, c2=24.0, delta0=0.25)
 
-    if tag == "two_well":
-        s0 = params.get("s0", 0.5)
+    s0 = params.get("s0", 0.5)  # two_well
 
-        def psi(r, s):
-            s = np.asarray(s, dtype=float)
-            return np.minimum(s**2, (s - s0) ** 2)
+    def psi(r, s):
+        s = np.asarray(s, dtype=float)
+        return np.minimum(s**2, (s - s0) ** 2)
 
-        return MicroPotential("two_well", _unit_weight, psi, c1=1.0, c2=2.0, delta0=s0 / 2,
-                              psi_ss0=lambda r: np.full_like(np.asarray(r, float), 2.0))
-
-    raise ValueError(f"unknown catalog tag {tag!r}")
+    return MicroPotential("two_well", psi, _constant(2.0), c1=1.0, c2=2.0, delta0=s0 / 2)

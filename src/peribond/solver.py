@@ -20,7 +20,7 @@ from .density import density_lower_batch, density_tilde_batch
 from .energy import (PairSet, StrainDomainError, _linearized_pass, _load_term,
                      build_pairs, energy_gradient_Fn)
 from .grids import Grid, SubdomainMask, VectorField, full_mask, sphere_quadrature
-from .kernels import Kernel, KernelSequence, derived_interaction_kernel
+from .kernels import Kernel, KernelSequence
 from .materials import MicroPotential, Potential
 
 #: gradient pairs the quasi-Newton recursion keeps, the factor each rejected
@@ -232,12 +232,11 @@ def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
     """Convergence of the rescaled energies to the quadratic limit at fixed u.
 
     Evaluates E_eps(u) for each eps and the quadratic energy built from the
-    interaction kernel of w in one pass over the bonds within
+    interaction kernel ``w.psi_ss0`` in one pass over the bonds within
     ``support_radius`` (required) and compares them; rows where a bond leaves
     the admissible strain domain are flagged and excluded from the rate fit.
     """
-    _, double, values = _linearized_pass(u, None, support_radius, derived_interaction_kernel(w),
-                                         w, m, eps_list)
+    _, double, values = _linearized_pass(u, None, support_radius, w.psi_ss0, w, m, eps_list)
     load = _load_term(u, l)
     E0 = 0.5 * double - load
     rows = []

@@ -145,9 +145,15 @@ class TestSchema:
         # the default collar 0.1 is not below half the node span 0.065625 of
         # the 8-cell grid on [0, 0.15] that localize builds at n = 2
         {**GOOD_LOCALIZE, "domain": {"dim": 1, "lo": 0.0, "hi": 0.15, "n_cells": 8}},
+        # a catalog parameter the tag does not read
+        {**GOOD_LINEARIZE, "micropotential": {"tag": "quartic", "c": 5.0}},
+        {**GOOD_LINEARIZE, "micropotential": {"tag": "two_well", "c": 9.0}},
+        {**GOOD_LINEARIZE, "micropotential": {"tag": "mbm_smooth", "s0": 0.3}},
+        {**GOOD_LINEARIZE, "micropotential": {"tag": "cohesive", "s0": 0.3}},
     ], ids=["minimize-datum-d", "localize-datum-d", "number-block", "list-block",
             "list-experiment", "object-experiment", "minimize-default-collar",
-            "minimize-given-collar", "localize-default-collar"])
+            "minimize-given-collar", "localize-default-collar", "quartic-c",
+            "two_well-c", "mbm_smooth-s0", "cohesive-s0"])
     def test_rejected_before_running(self, tmp_path, capsys, cfg):
         path = write(tmp_path, "c.json", cfg)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 3

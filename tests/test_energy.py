@@ -10,8 +10,7 @@ from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask,
                             unit_interval_grid)
-from peribond.kernels import (box_kernel, custom_radial, derived_interaction_kernel,
-                              make_rescaled)
+from peribond.kernels import box_kernel, custom_radial, make_rescaled
 from peribond.materials import (catalog_potential, huber_power, power_potential,
                                 strain, tabulated_potential)
 from peribond.solver import linearization_experiment
@@ -401,9 +400,7 @@ class TestEEps:
         w = catalog_potential("mbm_smooth", c=2.0)
         u = field_from_function(g, lambda x: x**2)
         pairs = build_pairs(g, None, 0.2)
-        from peribond.kernels import derived_interaction_kernel
-        e0 = energy_E0(u, derived_interaction_kernel(w), support_radius=0.2,
-                       pairs=pairs).value
+        e0 = energy_E0(u, w.psi_ss0, support_radius=0.2, pairs=pairs).value
         for eps in (0.2, 0.05):
             ee = energy_E_eps(u, w, 1.0, eps, support_radius=0.2, pairs=pairs).value
             assert ee == pytest.approx(e0, abs=1e-12)
@@ -463,7 +460,7 @@ class TestLinearizationPass:
         u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
         l = VectorField(g, rng.standard_normal(x.shape)) if load else None
         w = catalog_potential(tag)
-        rho = derived_interaction_kernel(w)
+        rho = w.psi_ss0
         tab = linearization_experiment(u, w, m, self.EPS, l=l, support_radius=radius)
 
         pairs = build_pairs(g, None, radius)

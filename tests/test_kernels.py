@@ -1,14 +1,14 @@
-"""Kernel normalization, rescaling, tails and the derived interaction kernel."""
+"""Kernel normalization, rescaling, tails and the interaction kernel Psi''(r, 0)
+that a catalog micro-potential carries."""
 
 import numpy as np
 import pytest
 
 from peribond.kernels import (SPHERE_AREA, KernelSequence, box_kernel, box_sequence,
                               check_assumption_A, check_density_condition,
-                              custom_radial, derived_interaction_kernel,
-                              fractional_sequence, make_fractional,
+                              custom_radial, fractional_sequence, make_fractional,
                               make_rescaled, radial_integral)
-from peribond.materials import MicroPotential, catalog_potential
+from peribond.materials import catalog_potential
 
 
 class TestRadialIntegral:
@@ -125,25 +125,9 @@ class TestDensityCondition:
 class TestDerivedInteractionKernel:
     def test_quartic_curvature(self):
         w = catalog_potential("quartic")
-        rho = derived_interaction_kernel(w)
-        np.testing.assert_allclose(rho(np.array([0.3, 1.0])), 8.0)
+        np.testing.assert_allclose(w.psi_ss0(np.array([0.3, 1.0])), 8.0)
 
     def test_cohesive_curvature_scales_with_radius(self):
         w = catalog_potential("cohesive")
-        rho = derived_interaction_kernel(w)
         r = np.array([0.25, 0.5, 1.0])
-        np.testing.assert_allclose(rho(r), 2.0 * r)
-
-    def test_finite_difference_fallback(self):
-        # closed form withheld: the finite-difference route must agree
-        base = catalog_potential("mbm_smooth", c=3.0)
-        w = MicroPotential("fd", base.k, base.psi, base.c1, base.c2, base.delta0)
-        rho = derived_interaction_kernel(w)
-        np.testing.assert_allclose(rho(np.array([0.5, 1.0])), 3.0, rtol=1e-5)
-
-    def test_rejects_kink_at_zero(self):
-        w = MicroPotential("kink", lambda r: np.ones_like(r),
-                           lambda r, s: np.abs(np.asarray(s, dtype=float)),
-                           c1=1.0, c2=1.0, delta0=0.1)
-        with pytest.raises(ValueError):
-            derived_interaction_kernel(w)
+        np.testing.assert_allclose(w.psi_ss0(r), 2.0 * r)

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peribond.materials import (_FD_STEP, CATALOG_TAGS, MicroPotential, Potential,
-                                _fd_psi_ss, catalog_potential, huber_power,
-                                power_potential, quartic_potential, strain,
-                                tabulated_potential)
+from peribond.materials import (CATALOG_TAGS, MicroPotential, Potential,
+                                catalog_potential, huber_power, power_potential,
+                                quartic_potential, strain, tabulated_potential)
+
+_FD_STEP = 1e-5
+
+
+def _fd_psi_ss(psi, r, s, step=_FD_STEP):
+    """Richardson-extrapolated central second difference of Psi in s."""
+    def d2(h):
+        return (psi(r, s + h) - 2.0 * psi(r, s) + psi(r, s - h)) / h**2
+
+    return (4.0 * d2(step / 2.0) - d2(step)) / 3.0
 
 
 class TestStrain:
@@ -199,11 +208,7 @@ def conformance_report(w: MicroPotential, s0: float | None = None,
     h = _FD_STEP
     slope = (w.psi(r, np.full(2, h)) - w.psi(r, np.full(2, -h))) / (2 * h)
     report["zero_slope_at_rest"] = bool(np.max(np.abs(slope)) < 1e-6)
-    try:
-        curv0 = w.second_derivative_at_zero(r)
-        report["positive_curvature"] = bool(np.min(curv0) > 0)
-    except ValueError:
-        report["positive_curvature"] = False
+    report["positive_curvature"] = bool(np.min(w.psi_ss0(r)) > 0)
 
     s = np.linspace(-0.9, 4.0, n_samples)
     if s0 is not None:
@@ -264,12 +269,31 @@ class TestCatalog:
         assert w.psi_ss0(np.array([0.5]))[0] == pytest.approx(7.0)
         assert (w.c1, w.c2) == (7.0 / 4, 28.0)
 
+    @pytest.mark.parametrize("tag,params", [
+        ("mbm", {}), ("mbm", {"s0": 0.2, "c": 3.0}), ("mbm_smooth", {}),
+        ("modified_mbm", {}), ("modified_mbm", {"s0": 0.3}),
+        ("cohesive", {}),
+        ("cohesive", {"f": lambda x: 7.0 * x / (1.0 + x), "fprime0": 7.0}),
+        ("quartic", {}), ("two_well", {}), ("two_well", {"s0": 0.3})])
+    def test_closed_form_curvature_matches_finite_differences(self, tag, params):
+        w = catalog_potential(tag, **params)
+        r = np.array([0.25, 0.5, 1.0, 2.0])
+        np.testing.assert_allclose(w.psi_ss0(r), _fd_psi_ss(w.psi, r, np.zeros_like(r)),
+                                   rtol=1e-5)
+
+    @pytest.mark.parametrize("tag,param", [("quartic", "c"), ("quartic", "s0"),
+                                           ("two_well", "c"), ("mbm_smooth", "s0"),
+                                           ("cohesive", "s0")])
+    def test_rejects_a_parameter_the_tag_does_not_read(self, tag, param):
+        with pytest.raises(ValueError, match=f"'{param}' is not read by catalog tag '{tag}'"):
+            catalog_potential(tag, **{param: 0.3})
+
 
 def rescaled_micro_energy(w: MicroPotential, m: float, xi: np.ndarray,
                           zeta: np.ndarray, eps: float) -> float:
     """Quadratically rescaled bond energy eps^-2 w(xi, s_m(|nu + eps zeta|)).
 
-    As eps -> 0 this converges to k(|xi|) * Psi_ss(|xi|, 0) * (zeta.nu)^2
+    As eps -> 0 this converges to Psi_ss(|xi|, 0) * (zeta.nu)^2
     with nu = xi/|xi|, the integrand of the linearized energy.
     """
     xi = np.asarray(xi, dtype=float)
@@ -284,7 +308,7 @@ def rescaled_micro_energy(w: MicroPotential, m: float, xi: np.ndarray,
     if t <= 0:
         raise ValueError("strain outside its domain: zero stretch")
     s = strain(m, t)
-    return float(w.k(np.asarray(r)) * w.psi(np.asarray(r), np.asarray(s))) / eps**2
+    return float(w(np.asarray(r), np.asarray(s))) / eps**2
 
 
 class TestRescaledMicroEnergy:
@@ -293,7 +317,7 @@ class TestRescaledMicroEnergy:
         xi = np.array([0.5, 0.0])
         zeta = np.array([0.4, 0.3])
         nu = xi / np.linalg.norm(xi)
-        target = w.k(np.linalg.norm(xi)) * 8.0 * (zeta @ nu) ** 2 / 2.0 * 2.0
+        target = 8.0 * (zeta @ nu) ** 2 / 2.0 * 2.0
         # Psi''(0)/2 * (2 (z.n))^2 / 2 ... express via the helper directly:
         vals = [rescaled_micro_energy(w, 1.0, xi, zeta, e) for e in (0.1, 0.05, 0.025)]
         errs = np.abs(np.asarray(vals) - vals[-1])
@@ -304,6 +328,6 @@ class TestRescaledMicroEnergy:
         xi = np.array([1.0])
         zeta = np.array([0.3])
         v1 = rescaled_micro_energy(w, 1.0, xi, zeta, 1e-3)
-        # limit: k * c * (z.n)^2 / ... the eps-independence of the quadratic case
+        # limit: c * (z.n)^2 / ... the eps-independence of the quadratic case
         v2 = rescaled_micro_energy(w, 1.0, xi, zeta, 1e-6)
         assert v1 == pytest.approx(v2, rel=1e-2)
