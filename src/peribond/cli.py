@@ -232,8 +232,11 @@ def _run_linearize(cfg: dict):
     tab = linearization_experiment(u, w, m, blk["eps"], support_radius=radius)
     # flagged rows (a bond left the strain domain) stay, with NaN values
     rows = [[r.eps, r.E_eps, tab.E0, r.abs_err, r.flagged] for r in tab.rows]
-    # at least first order; some bonds converge at second order
-    contracts = {"rate_in_window": tab.slope is not None and tab.slope >= 0.8}
+    # at least first order; some bonds converge at second order.  If E_eps
+    # equals E0 to rounding on every unflagged row, the slope only fits noise
+    errs = tab.errors()
+    at_limit = errs.size > 0 and bool(np.all(errs <= 64 * np.finfo(float).eps * abs(tab.E0)))
+    contracts = {"rate_in_window": at_limit or (tab.slope is not None and tab.slope >= 0.8)}
     summary = {"E0": tab.E0, "slope": tab.slope}
     cols = ["eps", "E_eps", "E0", "abs_err", "flagged"]
     return "linearize.csv", cols, rows, summary, contracts

@@ -34,17 +34,6 @@ def sawtooth_value(N: int, x) -> np.ndarray:
     return np.minimum(y, 1.0 - y) / N
 
 
-def sawtooth_field(N: int, grid: Grid) -> VectorField:
-    """Nodal sampling of the N-tooth sawtooth on a 1D grid over (0, 1)."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if grid.dim != 1:
-        raise ValueError("sawtooth fields are one-dimensional")
-    if grid.n_cells[0] < 8 * N:
-        raise ValueError(f"grid must resolve the teeth: need >= {8 * N} cells")
-    return VectorField(grid, sawtooth_value(N, grid.nodes()[:, 0]))
-
-
 @dataclass(frozen=True)
 class SawtoothEnergy:
     """Computed sawtooth energy against its closed-form value (8/15) N delta."""
@@ -199,10 +188,6 @@ class RigidityResult:
     b: np.ndarray
     residual: float
     orthogonality_defect: float
-
-    @property
-    def is_rigid(self) -> bool:
-        return self.residual <= 1e-8 and self.orthogonality_defect <= 1e-8
 
 
 def rigidity_reconstruct(v: VectorField, R: float,

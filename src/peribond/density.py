@@ -140,11 +140,6 @@ def zero_set_predicate(F) -> bool:
     return bool(singular_values(F).max() <= 1.0 + 1e-12)
 
 
-def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
-    """The exact limit density in d = 1: Phi(m^-1 (|t|^m - 1)_+)."""
-    return float(phi(max((abs(t) ** m - 1.0) / m, 0.0)))
-
-
 def density_lower_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_lower over a batch of matrices, shape (B, d, d) -> (B,)."""

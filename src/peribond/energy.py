@@ -1,4 +1,4 @@
-"""Discretized double-integral energies, seminorms and analytic gradients.
+"""Discretized double-integral energies, the seminorm [v]_W and analytic gradients.
 
 All double integrals are midpoint sums over active node pairs within the
 kernel support, diagonal excluded.  On a uniform grid every bond x -> x + xi
@@ -131,13 +131,11 @@ class PairSet:
 
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
         self.grid = grid
-        self.radius = radius
         h = grid.h
         active = np.asarray(active, dtype=bool).reshape(grid.n_cells)
-        self.n_active = int(active.sum())
 
         offsets: list[_Offset] = []
-        if self.n_active:
+        if active.any():
             nonzero = np.nonzero(active)
             lo = [int(a.min()) for a in nonzero]
             hi = [int(a.max()) + 1 for a in nonzero]
@@ -256,12 +254,6 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _mean_h(grid: Grid) -> float:
     return float(np.mean(grid.h))
-
-
-def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
-    """Bond stretches t = |v(x_j) - v(x_i)| / |x_j - x_i| over a pair set."""
-    return np.concatenate([np.empty(0),
-                           *(_norm(dv) / r for _, dv, r in _bond_runs(pairs, v.values))])
 
 
 def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -428,9 +420,3 @@ def seminorm_W(v: VectorField, kernel: Kernel, p: float,
         total += float(np.sum(run.per_bond(kernel(run.r)) * (_norm(dv) / r)**p))
     return float(2.0 * v.grid.cell_volume**2 * total)
 
-
-def seminorm_Xrho(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
-                  support_radius: float | None = None,
-                  pairs: PairSet | None = None) -> float:
-    """Squared seminorm of the linearized space: double sum of rho (Du . Di)^2."""
-    return float(_linearized_pass(u, pairs, support_radius, rho)[1])

@@ -109,15 +109,6 @@ class SubdomainMask:
         if self.collar_width < 0:
             raise ValueError("collar_width must be >= 0")
 
-    @property
-    def n_active(self) -> int:
-        return int(self.active.sum())
-
-    @property
-    def volume(self) -> float:
-        """Discrete measure |A|."""
-        return self.n_active * self.grid.cell_volume
-
     def distance_to_complement(self) -> np.ndarray:
         """Per-node Euclidean distance to the nearest inactive node.
 
@@ -209,10 +200,6 @@ class SphereQuadrature:
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(np.atleast_2d(self.points)))
         object.__setattr__(self, "weights", _readonly(np.atleast_1d(self.weights)))
-
-    def average(self, f) -> float:
-        """Surface average of ``f`` evaluated on the quadrature directions."""
-        return float(np.dot(self.weights, f(self.points)))
 
 
 def sphere_quadrature(d: int, order: int) -> SphereQuadrature:

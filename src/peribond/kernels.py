@@ -1,4 +1,4 @@
-"""Radial localizing kernels, their rescalings and checks of the kernel assumptions.
+"""Radial localizing kernels and their rescalings.
 
 A kernel here is a nonnegative radial profile rho with compact support and
 unit mass; sequences of kernels concentrating at the origin drive the
@@ -88,11 +88,6 @@ class Kernel:
         """Numerical mass integral of rho over R^d."""
         return radial_integral(self.profile, 0.0, self.support_radius, self.dim)
 
-    def tail_mass(self, delta: float) -> float:
-        """Mass outside the ball B(0, delta)."""
-        if delta >= self.support_radius:
-            return 0.0
-        return radial_integral(self.profile, delta, self.support_radius, self.dim)
 
 
 def _ball_volume(d: int, radius: float) -> float:
@@ -143,16 +138,6 @@ def make_fractional(d: int, s: float, p: float) -> Kernel:
     return Kernel(d, "fractional", profile, 1.0)
 
 
-def custom_radial(d: int, profile, support_radius: float) -> Kernel:
-    """Normalize an arbitrary nonnegative radial profile to unit mass."""
-    raw = radial_integral(profile, 0.0, support_radius, d)
-    if not raw > 0:
-        raise ValueError("profile must have positive mass")
-    c = 1.0 / raw
-    return Kernel(d, "custom-radial", lambda r: c * np.asarray(profile(r), dtype=float),
-                  support_radius)
-
-
 @dataclass(frozen=True)
 class KernelSequence:
     """A localizing family n -> rho_n."""
@@ -167,65 +152,3 @@ def box_sequence(d: int, delta_law=lambda n: 1.0 / n) -> KernelSequence:
     """rho_n = the unit box kernel rescaled to the horizon delta_law(n)."""
     base = box_kernel(d)
     return KernelSequence(lambda n: make_rescaled(base, delta_law(n)))
-
-
-def fractional_sequence(d: int, p: float) -> KernelSequence:
-    """rho_n = the fractional kernel with s = 1 - 1/(n + 1)."""
-    return KernelSequence(lambda n: make_fractional(d, 1.0 - 1.0 / (n + 1), p))
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Tail masses of a kernel sequence outside a fixed ball."""
-
-    delta: float
-    tail: np.ndarray
-    passed: bool
-
-
-def check_assumption_A(seq: KernelSequence, delta: float, n_max: int,
-                       tol: float = 1e-3) -> TailReport:
-    """Check the concentration half of the kernel assumption.
-
-    Computes t_n = mass of rho_n outside B(0, delta) for n = 1..n_max and
-    passes when the terminal tail is below ``tol`` and the tail is
-    non-increasing over the second half of the sequence, n > n_max // 2.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    t = np.array([seq[n].tail_mass(delta) for n in range(1, n_max + 1)])
-    eventually_decreasing = np.all(np.diff(t[len(t) // 2:]) <= 1e-12)
-    passed = bool(t[-1] < tol and eventually_decreasing)
-    return TailReport(delta, t, passed)
-
-
-@dataclass(frozen=True)
-class DensityConditionReport:
-    deltas: np.ndarray
-    integrals: np.ndarray
-    ratios: np.ndarray
-    passed: bool
-
-
-def check_density_condition(kernel: Kernel, p: float) -> DensityConditionReport:
-    """Diagnose whether int_{|z|>delta} rho(z)/|z|^p dz blows up as delta -> 0.
-
-    Evaluates the integral at delta = 2^-j, j = 1..12 and passes when the
-    last three successive ratios exceed 1.05.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    deltas = 2.0 ** -np.arange(1, 13)
-
-    def integrand(r):
-        return kernel(r) / r**p
-
-    vals = np.array([
-        radial_integral(integrand, dd, kernel.support_radius, kernel.dim)
-        for dd in deltas
-    ])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = vals[1:] / vals[:-1]
-    passed = bool(np.all(np.isfinite(vals)) and vals[-1] > 0
-                  and np.all(ratios[-3:] > 1.05))
-    return DensityConditionReport(deltas, vals, ratios, passed)

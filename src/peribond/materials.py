@@ -68,54 +68,6 @@ def power_potential(p: float, scale: float = 1.0) -> Potential:
     )
 
 
-def huber_power(p: float, a0: float) -> Potential:
-    """Power profile continued linearly past a0 (convex, but with no valid
-    p-growth lower constant; C0 = 0 records that)."""
-    base = power_potential(p)
-    phi0, d0 = base(a0), base.d(a0)
-
-    def func(a):
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= a0, a**p, phi0 + d0 * (a - a0))
-
-    def deriv(a):
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= a0, p * np.maximum(a, 0.0) ** (p - 1), d0)
-
-    return Potential(f"huber(p={p}, a0={a0})", func, deriv, p, 0.0, 1.0 + phi0)
-
-
-def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
-                        C0: float, C1: float) -> Potential:
-    """Custom convex profile from samples; validates monotone convexity on load.
-
-    Piecewise linear through the samples, and continued past the last one
-    along the last slope, so the profile stays convex and ``d`` is its
-    derivative everywhere.
-    """
-    a = np.asarray(a, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if a.ndim != 1 or a.shape != phi.shape or len(a) < 3:
-        raise ValueError("need matching 1-d sample arrays of length >= 3")
-    if not np.all(np.diff(a) > 0):
-        raise ValueError("sample abscissae must be strictly increasing")
-    slopes = np.diff(phi) / np.diff(a)
-    if np.any(slopes < -1e-12) or np.any(np.diff(slopes) < -1e-10):
-        raise ValueError("tabulated profile must be nondecreasing and convex")
-    if abs(phi[0]) > 1e-14 or a[0] != 0.0:
-        raise ValueError("tabulated profile must start at (0, 0)")
-
-    def func(x):
-        return np.where(x > a[-1], phi[-1] + slopes[-1] * (x - a[-1]), np.interp(x, a, phi))
-
-    def deriv(x):
-        idx = np.clip(np.searchsorted(a, x) - 1, 0, len(slopes) - 1)
-        return slopes[idx]
-
-    smooth = slopes[0] <= 1e-10
-    return Potential("tabulated", func, deriv, p, C0, C1, smooth_at_zero=smooth)
-
-
 #: quartic St. Venant integrand (|Dv|^2 - 1)^2 expressed as Phi(|s_2|) with
 #: Phi(t) = 4 t^2, since (t^2 - 1)^2 = 4 * s_2(t)^2.
 def quartic_potential() -> Potential:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import check_assumption_A, check_density_condition, fractional_sequence
 from peribond.constructions import (laminate_energy_decay, rigidity_reconstruct,
                                     sawtooth_energy)
 from peribond.density import (LaminateSearch, density_laminate_upper,
@@ -23,9 +24,7 @@ from peribond.density import (LaminateSearch, density_laminate_upper,
 from peribond.energy import build_pairs, energy_Fn, gradient_Fn
 from peribond.grids import (VectorField, box_grid, field_from_function,
                             full_mask, sphere_quadrature, unit_interval_grid)
-from peribond.kernels import (box_kernel, box_sequence, check_assumption_A,
-                              check_density_condition, fractional_sequence,
-                              make_fractional, make_rescaled)
+from peribond.kernels import box_kernel, box_sequence, make_fractional, make_rescaled
 from peribond.materials import catalog_potential, power_potential, quartic_potential
 from peribond.solver import linearization_experiment
 

@@ -363,6 +363,30 @@ class TestLinearizationRate:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("tag,field", [("mbm_smooth", "quadratic"),
+                                           ("mbm_smooth", "sinusoid"),
+                                           ("two_well", "quadratic")])
+    def test_limit_reached_to_rounding_passes(self, tmp_path, capsys, tag, field):
+        # |E_eps - E0| is at most 2.2e-16 here, so the fitted slope (-0.3 or
+        # +0.3) measures rounding noise, not the rate
+        cfg = write(tmp_path, "c.json", {
+            **GOOD_LINEARIZE, "strain_m": 1, "domain": {**DOMAIN_1D, "n_cells": 64},
+            "micropotential": {"tag": tag},
+            "linearize": {"eps": [0.1, 0.05, 0.025, 0.0125], "field": field}})
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads((out / "summary.json").read_text())["summary"]["slope"] < 0.8
+
+    def test_all_rows_flagged_fails(self, tmp_path, capsys, monkeypatch):
+        # no unflagged error is left to be at rounding level, even with E0 = 0
+        nan = float("nan")
+        table = LinearizationTable((LinearizationRow(0.1, nan, nan, True),), 0.0, None)
+        monkeypatch.setattr(peribond.cli, "linearization_experiment", lambda *a, **k: table)
+        cfg = write(tmp_path, "c.json", GOOD_LINEARIZE)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        capsys.readouterr()
+
 
 class TestDeterminism:
     def run_twice(self, tmp_path, cfg_payload, extra_second=()):

@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 
 import peribond.density
+from helpers import huber_power, rot, tabulated_potential
 from peribond.density import (LaminateSearch, _canonical_rows, _monomial_rule,
                               _sphere_average, closed_form_tilde_2d, compute_bounds,
                               density_laminate_upper, density_lower,
                               density_lower_batch, density_tilde,
-                              density_tilde_batch, one_d_exact_density,
-                              singular_values, zero_set_predicate)
+                              density_tilde_batch, singular_values,
+                              zero_set_predicate)
 from peribond.grids import SphereQuadrature, sphere_quadrature
-from peribond.materials import (Potential, huber_power, power_potential,
-                                tabulated_potential)
+from peribond.materials import Potential, power_potential
 
 PHI2 = power_potential(2.0)
 Q2 = sphere_quadrature(2, 256)
-
-
-def rot(th):
-    return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
 
 
 class TestClosedForm2D:
@@ -40,6 +36,11 @@ class TestClosedForm2D:
     def test_spot_value(self):
         # diag(2,1): G-I = diag(3,0), |G-I|^2 = 9, (trG-2)^2/2 = 4.5 -> 27/32
         assert closed_form_tilde_2d(np.diag([2.0, 1.0])) == pytest.approx(27.0 / 32.0)
+
+
+def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
+    """The exact limit density in d = 1: Phi(m^-1 (|t|^m - 1)_+)."""
+    return float(phi(max((abs(t) ** m - 1.0) / m, 0.0)))
 
 
 class TestOneD:

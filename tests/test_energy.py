@@ -4,15 +4,15 @@ checks, and the quadratic small-displacement identities."""
 import numpy as np
 import pytest
 
+from helpers import custom_radial, huber_power, stretches, tabulated_potential
 from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
                              energy_E_eps, energy_Fn, energy_gradient_Fn,
-                             gradient_Fn, seminorm_W, seminorm_Xrho, stretches)
+                             gradient_Fn, seminorm_W)
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask,
                             unit_interval_grid)
-from peribond.kernels import box_kernel, custom_radial, make_rescaled
-from peribond.materials import (catalog_potential, huber_power, power_potential,
-                                strain, tabulated_potential)
+from peribond.kernels import box_kernel, make_rescaled
+from peribond.materials import catalog_potential, power_potential, strain
 from peribond.solver import linearization_experiment
 
 
@@ -199,7 +199,6 @@ class TestStencilEquivalence:
 
         for rho in (kernel, bare):
             xr = ref.seminorm_Xrho(u, rho)
-            self._close(seminorm_Xrho(u, rho, pairs=pairs), xr)
             self._close(energy_E0(u, rho, pairs=pairs).value, 0.5 * xr)
 
 
@@ -356,7 +355,6 @@ class TestGradient:
                 assert grad[k, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_rejects_nonsmooth_profile(self):
-        from peribond.materials import tabulated_potential
         g = unit_interval_grid(8)
         a = np.linspace(0.0, 2.0, 10)
         phi = tabulated_potential(a, a.copy(), p=2.0, C0=0.0, C1=1.0)
@@ -542,15 +540,6 @@ class TestSeminorms:
         val = seminorm_W(v, make_rescaled(box_kernel(1), delta), p=2.0)
         assert val == pytest.approx(1.0 - delta / 2, rel=1e-2)
 
-    def test_Xrho_matches_E0_without_load(self):
-        g = box_grid(2, 0.0, 1.0, 10)
-        rng = np.random.default_rng(2)
-        u = VectorField(g, rng.standard_normal((g.n_nodes, 2)))
-        kernel = make_rescaled(box_kernel(2), 0.3)
-        sn = seminorm_Xrho(u, kernel)
-        e0 = energy_E0(u, kernel).value
-        assert e0 == pytest.approx(0.5 * sn, rel=1e-12)
-
 
 class TestStretches:
     def test_affine(self):
@@ -605,7 +594,6 @@ class TestIncidencePath:
 
         def sums(pairs):
             out = [stretches(v, pairs), seminorm_W(v, kernel, 1.5, pairs=pairs),
-                   seminorm_Xrho(u, kernel, pairs=pairs),
                    energy_E0(u, kernel, pairs=pairs).value,
                    energy_E_eps(u, w, 2.0, 0.05, pairs=pairs).value]
             for m in (1.0, 2.0):

@@ -4,10 +4,10 @@ that a catalog micro-potential carries."""
 import numpy as np
 import pytest
 
-from peribond.kernels import (SPHERE_AREA, KernelSequence, box_kernel, box_sequence,
-                              check_assumption_A, check_density_condition,
-                              custom_radial, fractional_sequence, make_fractional,
-                              make_rescaled, radial_integral)
+from helpers import (check_assumption_A, check_density_condition, custom_radial,
+                     fractional_sequence, tail_mass)
+from peribond.kernels import (KernelSequence, box_kernel, box_sequence,
+                              make_fractional, make_rescaled, radial_integral)
 from peribond.materials import catalog_potential
 
 
@@ -100,7 +100,7 @@ class TestTails:
 
     def test_tail_mass_box(self):
         # 1D box on (-1,1): mass outside (-1/2, 1/2) is 1/2
-        assert box_kernel(1).tail_mass(0.5) == pytest.approx(0.5, rel=1e-9)
+        assert tail_mass(box_kernel(1), 0.5) == pytest.approx(0.5, rel=1e-9)
 
 
 class TestDensityCondition:

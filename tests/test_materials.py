@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import huber_power, tabulated_potential
 from peribond.materials import (CATALOG_TAGS, MicroPotential, Potential,
-                                catalog_potential, huber_power, power_potential,
-                                quartic_potential, strain, tabulated_potential)
+                                catalog_potential, power_potential,
+                                quartic_potential, strain)
 
 _FD_STEP = 1e-5
 

@@ -1,5 +1,8 @@
-"""The shipped demos and configs run to a clean exit against the library."""
+"""The shipped demos and configs run to a clean exit against the library,
+and everything the library exports has a use outside the tests."""
 
+import ast
+import re
 import runpy
 from pathlib import Path
 
@@ -20,3 +23,22 @@ def test_demo_runs(path, capsys):
 def test_config_runs(path, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # a caller is a whole-word match in the library beyond the name's own
+    # def or class line, or anywhere in the demos, bench, configs or README
+    pkg = ROOT / "src" / "peribond"
+    init = pkg / "__init__.py"
+    names = [alias.name for node in ast.parse(init.read_text()).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lib = "\n".join(p.read_text() for p in sorted(pkg.glob("*.py")) if p != init)
+    shipped = [p.read_text() for d in ("demos", "bench", "configs")
+               for p in sorted((ROOT / d).rglob("*")) if p.suffix in (".py", ".json", ".md")]
+    shipped.append((ROOT / "README.md").read_text())
+
+    def has_caller(name):
+        rest = re.sub(rf"(?m)^\s*(def|class) {name}\b.*$", "", lib)
+        return re.search(rf"\b{name}\b", "\n".join([*shipped, rest])) is not None
+
+    assert [name for name in names if not has_caller(name)] == []

@@ -4,11 +4,9 @@ the concentrating-kernel localization driver."""
 import numpy as np
 import pytest
 
-from peribond.constructions import laminate_profile
 from peribond.energy import energy_Fn, gradient_Fn
-from peribond.grids import (Grid, SubdomainMask, VectorField, affine_field, box_grid,
-                            field_from_function, full_mask,
-                            unit_interval_grid)
+from peribond.grids import (Grid, SubdomainMask, affine_field, box_grid,
+                            field_from_function, full_mask, unit_interval_grid)
 from peribond.kernels import box_kernel, box_sequence, make_rescaled
 from peribond.materials import catalog_potential, power_potential
 from peribond.solver import (DirichletProblem, linearization_experiment,
@@ -108,7 +106,7 @@ class TestMinimize:
         assert res.energy_trace[-1] < 0.5 * e_datum
 
     def test_rejects_nonsmooth_profile(self):
-        from peribond.materials import tabulated_potential
+        from helpers import tabulated_potential
         a = np.linspace(0.0, 2.0, 10)
         phi = tabulated_potential(a, a.copy(), p=2.0, C0=0.0, C1=1.0)
         with pytest.raises(ValueError):
