@@ -12,6 +12,11 @@ A bond sum gathers v(x + xi) - v(x) and scatters gradients in one of two
 ways, chosen by the pair set's size, with bit-identical results.  A set of one
 run of offsets (see ``_RUN_BONDS``) multiplies by its signed incidence matrix
 D and by D^T; a larger set uses slice arithmetic and slice adds per offset.
+
+The F_n passes of one minimization share a ``_Workspace``: the per-bond
+lengths and kernel weights, and buffers for the bond block and every per-bond
+temporary.  At 18,488 bonds each temporary is 148 KB, over glibc's 128 KiB
+mmap threshold, so allocating ~20 a pass meant page-faulting them in anew.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .grids import Grid, SubdomainMask, VectorField
 from .kernels import Kernel
-from .materials import MicroPotential, Potential, strain
+from .materials import MicroPotential, Potential, _strain, strain
 
 #: Consecutive offsets are processed together until they hold this many
 #: bonds.  One offset at a time costs a profile and potential call per offset,
@@ -204,28 +209,46 @@ def build_pairs(grid: Grid, mask: SubdomainMask | None, radius: float) -> PairSe
     return PairSet(grid, active, radius)
 
 
-def _bond_runs(pairs: PairSet, values: np.ndarray) -> Iterator[tuple[_Run, np.ndarray, np.ndarray]]:
+class _Workspace:
+    """What the F_n passes over one pair set share: per run, the per-bond
+    lengths |xi| and kernel weights rho, and scratch sized to the largest
+    run.  Every pass overwrites the scratch."""
+
+    def __init__(self, pairs: PairSet, kernel: Kernel):
+        self.lengths = [run.per_bond(run.r) for run in pairs._runs]
+        self.rho = [run.per_bond(kernel(run.r)) for run in pairs._runs]
+        n = max((run.n for run in pairs._runs), default=0)
+        self.temps = np.empty((7, n))  # as many as an F_n pass holds at once
+        self.dv = np.empty(pairs.grid.dim * n)
+
+
+def _scratch(ws: _Workspace | None, slot: int, n: int, dtype: type = float) -> np.ndarray:
+    """n uninitialized per-bond values: fresh, or in the workspace's row ``slot``."""
+    return np.empty(n, dtype) if ws is None else ws.temps[slot].view(dtype)[:n]
+
+
+def _bond_runs(pairs: PairSet, values: np.ndarray, ws: _Workspace | None = None
+               ) -> Iterator[tuple[_Run, np.ndarray, np.ndarray]]:
     """Per run of offsets: the differences v(x + xi) - v(x) as one contiguous
     component-major (d, n) block, and the per-bond lengths |xi|, in
     offset-major, node-minor order.  Component-major keeps every per-bond
     reduction over components a sum of contiguous rows."""
     d = values.shape[1]
     columns = np.ascontiguousarray(values.T)
-    if pairs._incidence is not None:
-        (run,) = pairs._runs
-        D = pairs._incidence.D
-        yield run, np.stack([D @ col for col in columns]), run.per_bond(run.r)
-        return
     shaped = columns.reshape(d, *pairs.grid.n_cells)
-    for run in pairs._runs:
-        dv = np.empty((d, run.n))
-        for o, seg in run.segments(dv):
-            head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
-            if o.keep is None:
-                np.subtract(head, tail, out=seg.reshape(d, *o.shape))
-            else:
-                seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
-        yield run, dv, run.per_bond(run.r)
+    for k, run in enumerate(pairs._runs):
+        dv = np.empty((d, run.n)) if ws is None else ws.dv[:d * run.n].reshape(d, run.n)
+        if pairs._incidence is not None:  # then this is the only run
+            for row, col in zip(dv, columns):
+                row[...] = pairs._incidence.D @ col
+        else:
+            for o, seg in run.segments(dv):
+                head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
+                if o.keep is None:
+                    np.subtract(head, tail, out=seg.reshape(d, *o.shape))
+                else:
+                    seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
+        yield run, dv, run.per_bond(run.r) if ws is None else ws.lengths[k]
 
 
 def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> None:
@@ -247,9 +270,9 @@ def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> N
         out[(_ALL, *o.src)] -= block
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
+def _norm(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Column norms of a component-major (d, n) block."""
-    return np.sqrt(np.einsum("kp,kp->p", a, a))
+    return np.sqrt(np.einsum("kp,kp->p", a, a, out=out), out=out)
 
 
 def _mean_h(grid: Grid) -> float:
@@ -258,14 +281,16 @@ def _mean_h(grid: Grid) -> float:
 
 def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
              m: float, pairs: PairSet | None, energy: bool = True,
-             gradient: bool = True) -> tuple[EnergyReport | None, VectorField | None]:
+             gradient: bool = True, ws: _Workspace | None = None
+             ) -> tuple[EnergyReport | None, VectorField | None]:
     """One pass over the bonds of F_n: the energy and its nodal gradient.
 
     Stretches, strains and kernel weights are formed once per run and feed
     both the Phi sum and the gradient scatter; either can be left out.
     Pairs with coincident deformed positions get a zero gradient
     contribution: the stretch direction is undefined there and, for
-    smooth-at-zero profiles, the true subgradient contains 0.
+    smooth-at-zero profiles, the true subgradient contains 0.  A workspace
+    ``ws`` of ``pairs`` and ``kernel`` changes where arrays live, not results.
     """
     if gradient and not phi.smooth_at_zero:
         raise ValueError("profile has Phi'(0+) > 0; use gradient-free experiments")
@@ -275,30 +300,37 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     w2 = 2.0 * g.cell_volume**2
     total = 0.0
     out = np.zeros((g.dim, *g.n_cells)) if gradient else None
-    for run, dv, r in _bond_runs(pairs, v.values):
-        norm_dv = _norm(dv)
-        t = norm_dv / r
-        if not np.all(np.isfinite(t)):
+    k = -1  # enumerate() would hold each run's arrays into the next run
+    for run, dv, r in _bond_runs(pairs, v.values, ws):
+        n, k = run.n, k + 1
+        norm_dv = _norm(dv, out=_scratch(ws, 0, n))
+        t = np.divide(norm_dv, r, out=_scratch(ws, 1, n))
+        if not np.isfinite(t, out=_scratch(ws, 6, n, bool)).all():
             raise ValueError("non-finite stretch encountered")
-        s = strain(m, t)
-        sign = np.sign(s) if gradient else None
+        s = _strain(m, t, out=_scratch(ws, 2, n))
+        sign = np.sign(s, out=_scratch(ws, 3, n)) if gradient else None
         a = np.abs(s, out=s)  # only the sign of s is used after this
-        rho = run.per_bond(kernel(run.r))
+        rho = run.per_bond(kernel(run.r)) if ws is None else ws.rho[k]
         if energy:
-            total += float(np.sum(rho * phi(a)))
+            total += float(np.sum(np.multiply(rho, phi(a), out=_scratch(ws, 4, n))))
         if gradient:
-            # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place:
-            # each per-bond temporary held across a run raises peak memory
-            coeff = w2 * rho
+            # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place
+            coeff = np.multiply(w2, rho, out=_scratch(ws, 5, n))
             coeff *= phi.d(a)
             coeff *= sign
             if m != 1:
-                coeff *= t ** (m - 1.0)
-            dv *= np.divide(coeff, norm_dv * r, out=np.zeros_like(norm_dv), where=norm_dv > 0)
+                coeff *= np.power(t, m - 1.0, out=_scratch(ws, 4, n))
+            div = _scratch(ws, 3, n)  # where sign was
+            div.fill(0.0)
+            dv *= np.divide(coeff, np.multiply(norm_dv, r, out=_scratch(ws, 4, n)), out=div,
+                            where=np.greater(norm_dv, 0, out=_scratch(ws, 6, n, bool)))
+            del div  # held into the next run, it would raise peak memory
             _scatter(pairs, run, dv, out)
-        # the bond block and lengths, the largest of this run's arrays, are
-        # freed before the next run is gathered; freeing every per-bond array
-        # here made the allocator hand the memory back and fault it in again
+        # A workspace holds the lengths, weights and per-bond temporaries
+        # across passes: allocated ones (148 KB at 18,488 bonds, over glibc's
+        # 128 KiB mmap threshold) were unmapped or trimmed and faulted in again
+        # on every pass.  Without one, the bond block and lengths, the largest
+        # of this run's arrays, are freed before the next run is gathered.
         del dv, r
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:

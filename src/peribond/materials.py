@@ -21,11 +21,19 @@ import numpy as np
 
 def strain(m: float, t) -> np.ndarray | float:
     """Nonlinear strain s_m(t) = (t^m - 1) / m of a stretch t >= 0."""
+    t = np.asarray(t, dtype=float)
+    out = _strain(m, t, np.empty_like(t))
+    return float(out) if out.ndim == 0 else out
+
+
+def _strain(m: float, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`strain` of an array, written into ``out``."""
     if m < 1:
         raise ValueError("strain order m must be >= 1")
-    t = np.asarray(t, dtype=float)
-    out = t - 1.0 if m == 1 else (t**m - 1.0) / m  # t**1.0 / 1.0 is t exactly
-    return float(out) if out.ndim == 0 else out
+    if m == 1:
+        return np.subtract(t, 1.0, out=out)  # t**1.0 / 1.0 is t exactly
+    s = np.power(t, m, out=out)
+    return np.divide(np.subtract(s, 1.0, out=s), m, out=s)
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ localization of constrained minimizers under a concentrating kernel sequence.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
-from .energy import (PairSet, StrainDomainError, _linearized_pass, _load_term,
-                     build_pairs, energy_gradient_Fn)
+from .energy import (PairSet, StrainDomainError, _Fn_pass, _linearized_pass, _load_term,
+                     _Workspace, build_pairs)
 from .grids import Grid, SubdomainMask, VectorField, full_mask, sphere_quadrature
 from .kernels import Kernel, KernelSequence
 from .materials import MicroPotential, Potential
@@ -72,30 +73,26 @@ class _TwoLoop:
     """Limited-memory quasi-Newton direction from gradient differences."""
 
     def __init__(self):
-        self.s: list[np.ndarray] = []
-        self.y: list[np.ndarray] = []
+        #: (s, y, 1 / s.y, s.y) per kept pair, oldest first
+        self.pairs: deque[tuple[np.ndarray, np.ndarray, float, float]] = deque(maxlen=_QN_MEMORY)
 
     def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        if float(s @ y) > 1e-14 * float(s @ s) ** 0.5 * float(y @ y) ** 0.5:
-            self.s.append(s)
-            self.y.append(y)
-            if len(self.s) > _QN_MEMORY:
-                self.s.pop(0)
-                self.y.pop(0)
+        sy = float(s @ y)
+        if sy > 1e-14 * float(s @ s) ** 0.5 * float(y @ y) ** 0.5:
+            self.pairs.append((s, y, 1.0 / sy, sy))  # the oldest pair drops out
 
     def direction(self, grad: np.ndarray) -> np.ndarray:
-        if not self.s:
+        if not self.pairs:
             return -grad
         q = grad.copy()
         alphas = []
-        rhos = [1.0 / float(yy @ ss) for ss, yy in zip(self.s, self.y)]
-        for ss, yy, rr in zip(reversed(self.s), reversed(self.y), reversed(rhos)):
+        for ss, yy, rr, _ in reversed(self.pairs):
             a = rr * float(ss @ q)
             alphas.append(a)
             q -= a * yy
-        gamma = float(self.s[-1] @ self.y[-1]) / float(self.y[-1] @ self.y[-1])
-        q *= gamma
-        for ss, yy, rr, a in zip(self.s, self.y, rhos, reversed(alphas)):
+        _, yy, _, sy = self.pairs[-1]
+        q *= sy / float(yy @ yy)
+        for (ss, yy, rr, _), a in zip(self.pairs, reversed(alphas)):
             b = rr * float(yy @ q)
             q += (a - b) * ss
         return -q
@@ -124,10 +121,11 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
 
     vals = (v0.values if v0 is not None else prob.g.values).copy()
     vals[~free] = prob.g.values[~free]
+    ws = _Workspace(pairs, prob.kernel)
 
     def energy_grad(a: np.ndarray) -> tuple[float, np.ndarray]:
-        rep, g = energy_gradient_Fn(VectorField(grid, a), prob.mask, prob.kernel,
-                                    prob.phi, prob.m, pairs=pairs)
+        rep, g = _Fn_pass(VectorField(grid, a), prob.mask, prob.kernel, prob.phi,
+                          prob.m, pairs, ws=ws)
         g = g.values.copy()
         g[~free] = 0.0
         return rep.value, g

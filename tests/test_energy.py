@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import custom_radial, huber_power, stretches, tabulated_potential
-from peribond.energy import (PairSet, StrainDomainError, build_pairs, energy_E0,
-                             energy_E_eps, energy_Fn, energy_gradient_Fn,
+from peribond.energy import (PairSet, StrainDomainError, _Fn_pass, _Workspace, build_pairs,
+                             energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
                              gradient_Fn, seminorm_W)
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask,
@@ -626,3 +626,64 @@ class TestIncidencePath:
         g = box_grid(2, 0.0, 1.0, 128)
         pairs = build_pairs(g, box_subdomain(g, 0.05, collar_width=0.04), 0.04)
         assert len(pairs._runs) > 1 and pairs._incidence is None
+
+
+class TestWorkspace:
+    """A pass given a minimization's workspace returns what the plain pass
+    returns, bit for bit, and nothing it returns lives in the workspace."""
+
+    @staticmethod
+    def _setup(d, kind, seed):
+        n, radius = TestStencilEquivalence.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        mask = TestIncidencePath._mask(g, kind, radius)
+        pairs = listed_pairs(g, mask, radius)
+        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
+        rng = np.random.default_rng(seed)
+        x = g.nodes()
+        F = np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))
+        vals = x @ F.T + 0.05 * rng.standard_normal(x.shape)
+        vals[pairs.j[0]] = vals[pairs.i[0]]  # one bond with coincident deformed ends
+        return g, mask, pairs, kernel, VectorField(g, vals)
+
+    @pytest.mark.parametrize("runs", ["one", "many"])
+    @pytest.mark.parametrize("kind", ["full", "holed_box"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_plain_pass(self, d, kind, runs, monkeypatch):
+        import peribond.energy
+
+        if runs == "many":  # runs of one to a few offsets, of unequal sizes
+            monkeypatch.setattr(peribond.energy, "_RUN_BONDS", 10)
+        g, mask, pairs, kernel, v = self._setup(d, kind, 120 + d)
+        assert (len(pairs._runs) > 1) == (runs == "many")
+        assert (pairs._incidence is None) == (runs == "many")
+        assert (kind == "holed_box") == any(o.keep is not None
+                                            for run in pairs._runs for o in run.offsets)
+        assert len({run.n for run in pairs._runs}) > 1 or runs == "one"
+        ws = _Workspace(pairs, kernel)
+        for phi in (power_potential(2.5), huber_power(2.0, 0.3)):
+            for m in (1.0, 2.0):
+                rep, grad = energy_gradient_Fn(v, mask, kernel, phi, m, pairs=pairs)
+                got, got_grad = _Fn_pass(v, mask, kernel, phi, m, pairs, ws=ws)
+                assert got == rep
+                np.testing.assert_array_equal(got_grad.values, grad.values)
+                assert _Fn_pass(v, mask, kernel, phi, m, pairs, gradient=False, ws=ws)[0] == rep
+                np.testing.assert_array_equal(
+                    _Fn_pass(v, mask, kernel, phi, m, pairs, energy=False, ws=ws)[1].values,
+                    grad.values)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_results_outlive_the_next_pass(self, d):
+        g, mask, pairs, kernel, v = self._setup(d, "holed_box", 130 + d)
+        w = VectorField(g, 1.1 * v.values + 0.01)
+        phi = power_potential(2.0)
+        ws = _Workspace(pairs, kernel)
+        first, first_grad = _Fn_pass(v, mask, kernel, phi, 2.0, pairs, ws=ws)
+        kept, kept_grad = first.value, first_grad.values.copy()
+        second, second_grad = _Fn_pass(w, mask, kernel, phi, 2.0, pairs, ws=ws)
+        assert second.value != kept
+        assert not np.array_equal(second_grad.values, kept_grad)
+        assert first.value == kept
+        np.testing.assert_array_equal(first_grad.values, kept_grad)
+        for buf in (ws.temps, ws.dv):
+            assert not np.shares_memory(first_grad.values, buf)
