@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .energy import energy_Fn
-from .grids import Grid, SubdomainMask, VectorField, box_grid, full_mask
+from .grids import Grid, VectorField, box_grid, full_mask
 from .kernels import box_kernel, make_rescaled
 from .materials import Potential, power_potential
 
@@ -144,9 +144,13 @@ class LaminateDecayRow:
     energy: float
 
 
+#: cells per side of the unit box that laminate_energy_decay never exceeds
+_MAX_CELLS = 256
+
+
 def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
-                          phi: Potential | None = None, m: float = 1.0,
-                          max_cells: int = 256) -> list[LaminateDecayRow]:
+                          phi: Potential | None = None, m: float = 1.0
+                          ) -> list[LaminateDecayRow]:
     """Energy table of the laminate sequence under a concentrating kernel.
 
     For each n the horizon is delta = 1/n^2 and the oscillation frequency
@@ -154,12 +158,11 @@ def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
     that the limiting density vanishes on diagonal gradients with entries in
     [0, 1].
 
-    The unit box gets ``min(max_cells, max(8 k, ceil(4 / delta), 32))``
-    cells per side, the ceil guarded by 1e-12 so that a quotient that is an
-    integer up to round-off is not pushed one cell up.  The count is not
-    forced to a multiple of k; under the default ``max_cells`` it is one for
-    n <= 8 (32 cells for n <= 2, exactly 4 n^2 for 3 <= n <= 8), so every
-    laminate period spans a whole number of cells.
+    The unit box gets ``min(256, max(8 k, ceil(4 / delta), 32))`` cells per
+    side, the ceil guarded by 1e-12 so that a quotient that is an integer up
+    to round-off is not pushed one cell up.  The count is not forced to a
+    multiple of k; it is one for n <= 8 (32 cells for n <= 2, exactly 4 n^2
+    for 3 <= n <= 8), so every laminate period spans a whole number of cells.
     """
     lam = tuple(float(x) for x in lam)
     d = len(lam)
@@ -169,7 +172,7 @@ def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
     for n in n_values:
         delta = 1.0 / n**2
         k = int(n)
-        cells = int(min(max_cells, max(8 * k, np.ceil(4.0 / delta - 1e-12), 32)))
+        cells = int(min(_MAX_CELLS, max(8 * k, np.ceil(4.0 / delta - 1e-12), 32)))
         grid = box_grid(d, 0.0, 1.0, cells)
         v = laminate_field(LaminateSpec(lam, k), grid)
         kernel = make_rescaled(base, delta)
@@ -190,8 +193,7 @@ class RigidityResult:
     orthogonality_defect: float
 
 
-def rigidity_reconstruct(v: VectorField, R: float,
-                         mask: SubdomainMask | None = None) -> RigidityResult:
+def rigidity_reconstruct(v: VectorField, R: float) -> RigidityResult:
     """Reconstruct the affine map behind a (candidate) isometry.
 
     Anchors at the nodes nearest 0 and R e_k; the matrix solves the exact
@@ -204,12 +206,9 @@ def rigidity_reconstruct(v: VectorField, R: float,
     g = v.grid
     d = g.dim
     x = g.nodes()
-    active = mask.active if mask is not None else np.ones(g.n_nodes, dtype=bool)
     anchors = [g.nearest_node(np.zeros(d))]
     for k in range(d):
         anchors.append(g.nearest_node(R * np.eye(d)[k]))
-    if not all(active[a] for a in anchors):
-        raise ValueError("anchor nodes fall outside the active domain")
     x0 = x[anchors[0]]
     dx = np.stack([x[a] - x0 for a in anchors[1:]], axis=-1)
     dvv = np.stack([v.values[a] - v.values[anchors[0]] for a in anchors[1:]], axis=-1)
@@ -217,10 +216,9 @@ def rigidity_reconstruct(v: VectorField, R: float,
     b = v.values[anchors[0]] - F @ x0
 
     rng = np.random.Generator(np.random.Philox(0))
-    act_idx = np.flatnonzero(active)
-    n_pairs = min(2000, len(act_idx) * (len(act_idx) - 1) // 2)
-    ii = rng.choice(act_idx, size=n_pairs)
-    jj = rng.choice(act_idx, size=n_pairs)
+    n_pairs = min(2000, g.n_nodes * (g.n_nodes - 1) // 2)
+    ii = rng.choice(g.n_nodes, size=n_pairs)
+    jj = rng.choice(g.n_nodes, size=n_pairs)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
     dist_x = np.linalg.norm(x[ii] - x[jj], axis=1)

@@ -299,7 +299,6 @@ class DensityBounds:
 
 
 def compute_bounds(F, phi: Potential, m: float, order: int,
-                   search: LaminateSearch | None = None,
                    with_laminate: bool = True) -> DensityBounds:
     F = np.atleast_2d(np.asarray(F, dtype=float))
     d = F.shape[0]
@@ -308,7 +307,7 @@ def compute_bounds(F, phi: Potential, m: float, order: int,
     tilde = density_tilde(F, phi, m, q)
     if with_laminate and d == 2:
         # the averages at F equal those at diag(sigma(F)) up to rounding
-        lam = _laminate_upper(singular_values(F), phi, m, q, search, lower, tilde)
+        lam = _laminate_upper(singular_values(F), phi, m, q, None, lower, tilde)
     else:
         lam = tilde
     return DensityBounds(F, lower, tilde, lam)

@@ -358,14 +358,8 @@ def energy_gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Po
     return _Fn_pass(v, A, kernel, phi, m, pairs)
 
 
-def _load_term(u: VectorField, l: VectorField | None) -> float:
-    if l is None:
-        return 0.0
-    return float(u.grid.cell_volume * np.sum(l.values * u.values))
-
-
 def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: float | None,
-                     rho: Callable[[np.ndarray], np.ndarray] | Kernel | None = None,
+                     rho: Callable[[np.ndarray], np.ndarray] | None = None,
                      w: MicroPotential | None = None, m: float = 1.0,
                      eps_list: Sequence[float] = ()) -> tuple[PairSet, float, list]:
     """One pass over the bonds of the linearization table.
@@ -383,9 +377,7 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
     g = u.grid
     if pairs is None:
         if support_radius is None:
-            support_radius = getattr(rho, "support_radius", None)
-            if support_radius is None:
-                raise ValueError("pairs or support_radius is required")
+            raise ValueError("pairs or support_radius is required")
         pairs = build_pairs(g, None, support_radius)
     xrho = 0.0
     totals: list = [0.0] * len(eps_list)
@@ -415,31 +407,31 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
 
 
 def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
-                 l: VectorField | None = None, support_radius: float | None = None,
+                 support_radius: float | None = None,
                  pairs: PairSet | None = None) -> EnergyReport:
     """Rescaled small-displacement energy of the deformation x + eps*u.
 
-    Value is eps^-2 times the double sum of w(y-x, s_m[x + eps u]) minus the
-    load term, over ``pairs`` or else the bonds within ``support_radius``
-    (one of the two is required).  A bond whose deformed length vanishes puts
-    the strain on the boundary of its domain and raises
-    :class:`StrainDomainError`; its ``pair`` is the first such bond in
-    offset-major, node-minor order.
+    Value is eps^-2 times the double sum of w(y-x, s_m[x + eps u]) over
+    ``pairs`` or else the bonds within ``support_radius`` (one of the two is
+    required).  A bond whose deformed length vanishes puts the strain on the
+    boundary of its domain and raises :class:`StrainDomainError`; its
+    ``pair`` is the first such bond in offset-major, node-minor order.
     """
     pairs, _, (value,) = _linearized_pass(u, pairs, support_radius, w=w, m=m,
                                           eps_list=(eps,))
     if isinstance(value, StrainDomainError):
         raise value
-    return EnergyReport(float(value - _load_term(u, l)), 2 * len(pairs), _mean_h(u.grid))
-
-
-def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray] | Kernel,
-              l: VectorField | None = None, support_radius: float | None = None,
-              pairs: PairSet | None = None) -> EnergyReport:
-    """Quadratic linearized energy (1/2) * double sum of rho * (Du . Di)^2 - load."""
-    pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
-    value = 0.5 * double - _load_term(u, l)
     return EnergyReport(float(value), 2 * len(pairs), _mean_h(u.grid))
+
+
+def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray],
+              support_radius: float | None = None,
+              pairs: PairSet | None = None) -> EnergyReport:
+    """Quadratic linearized energy (1/2) * double sum of rho(|xi|) (Du . Di)^2
+    over ``pairs`` or else the bonds within ``support_radius`` (one of the two
+    is required)."""
+    pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
+    return EnergyReport(float(0.5 * double), 2 * len(pairs), _mean_h(u.grid))
 
 
 def seminorm_W(v: VectorField, kernel: Kernel, p: float,

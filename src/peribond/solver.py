@@ -18,8 +18,8 @@ import numpy as np
 
 from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
-from .energy import (PairSet, StrainDomainError, _Fn_pass, _linearized_pass, _load_term,
-                     _Workspace, build_pairs)
+from .energy import (PairSet, StrainDomainError, _Fn_pass, _linearized_pass, _Workspace,
+                     build_pairs)
 from .grids import Grid, SubdomainMask, VectorField, full_mask, sphere_quadrature
 from .kernels import Kernel, KernelSequence
 from .materials import MicroPotential, Potential
@@ -29,6 +29,9 @@ from .materials import MicroPotential, Potential
 _QN_MEMORY = 10
 _ARMIJO_SHRINK = 0.5
 _ARMIJO_SLOPE = 1e-4
+#: the largest gradient entry at which the descent stops, in 1D and otherwise
+_GRAD_TOL_1D = 1e-8
+_GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,7 @@ class DirichletProblem:
     """Minimize the nonlocal energy over fields pinned to g on the collar.
 
     The descent stops after ``max_iters`` steps or once the largest gradient
-    entry is at most ``grad_tol``, which defaults to 1e-8 in 1D and 1e-6 in
-    2D and 3D.
+    entry is at most 1e-8 in 1D, or 1e-6 in 2D and 3D.
     """
 
     mask: SubdomainMask
@@ -46,7 +48,6 @@ class DirichletProblem:
     phi: Potential
     m: float = 1.0
     max_iters: int = 50_000
-    grad_tol: float | None = None
 
     def __post_init__(self):
         if self.mask.collar_width <= 0:
@@ -112,9 +113,7 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     if not prob.phi.smooth_at_zero:
         raise ValueError("minimization requires a profile differentiable at 0")
     grid = prob.mask.grid
-    tol = prob.grad_tol
-    if tol is None:
-        tol = 1e-8 if grid.dim == 1 else 1e-6
+    tol = _GRAD_TOL_1D if grid.dim == 1 else _GRAD_TOL
     if pairs is None:
         pairs = build_pairs(grid, prob.mask, prob.kernel.support_radius)
     free = prob.free
@@ -225,7 +224,6 @@ class LinearizationTable:
 
 def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
                              eps_list: Sequence[float],
-                             l: VectorField | None = None,
                              support_radius: float | None = None) -> LinearizationTable:
     """Convergence of the rescaled energies to the quadratic limit at fixed u.
 
@@ -235,14 +233,12 @@ def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
     the admissible strain domain are flagged and excluded from the rate fit.
     """
     _, double, values = _linearized_pass(u, None, support_radius, w.psi_ss0, w, m, eps_list)
-    load = _load_term(u, l)
-    E0 = 0.5 * double - load
+    E0 = 0.5 * double
     rows = []
     for eps, val in zip(eps_list, values):
         if isinstance(val, StrainDomainError):
             rows.append(LinearizationRow(float(eps), float("nan"), float("nan"), True))
         else:
-            val -= load
             rows.append(LinearizationRow(float(eps), float(val), abs(val - E0), False))
     good = [(r.eps, r.abs_err) for r in rows if not r.flagged and r.abs_err > 0]
     slope = None

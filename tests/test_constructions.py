@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+import peribond.constructions
 from helpers import rot
 from peribond.constructions import (LaminateSpec, RigidityResult,
                                     laminate_energy_decay, laminate_field,
@@ -108,8 +109,10 @@ class TestLaminate:
         assert density_lower(np.diag([0.5, 0.5]), power_potential(2.0), 1.0, q) == 0.0
         assert density_lower(np.diag([1.2, 0.5]), power_potential(2.0), 1.0, q) > 0.0
 
-    def test_energy_decay_with_concentrating_kernel(self):
-        rows = laminate_energy_decay((0.5, 0.5), [2, 4, 6], max_cells=96)
+    def test_energy_decay_with_concentrating_kernel(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(peribond.constructions, "_MAX_CELLS", 96)
+            rows = laminate_energy_decay((0.5, 0.5), [2, 4, 6])
         es = [r.energy for r in rows]
         assert all(np.isfinite(e) and e >= 0 for e in es)
         # k * delta = 1/n -> 0 drives the energy down
@@ -145,13 +148,18 @@ class TestRigidityReconstruct:
         assert not (res.residual <= 1e-8 and res.orthogonality_defect <= 1e-8)
         assert res.orthogonality_defect == pytest.approx(1.25, abs=1e-10)
 
-    def test_anchor_outside_active_set(self):
-        from peribond.grids import box_subdomain
+    def test_stretch_away_from_anchors_flagged(self):
+        # the identity on x_1 <= 3/4 holds all three anchors, so F = I
+        # exactly; the residual pairs are drawn from every node and so reach
+        # the stretched strip beyond
         g = box_grid(2, 0.0, 1.0, 24)
-        v = affine_field(g, np.eye(2))
-        with pytest.raises(ValueError):
-            # the origin anchor is outside the shrunken active set
-            rigidity_reconstruct(v, R=0.4, mask=box_subdomain(g, margin=0.2))
+        x = g.nodes()
+        vals = x.copy()
+        vals[:, 0] += 0.5 * np.maximum(x[:, 0] - 0.75, 0.0)
+        res = rigidity_reconstruct(VectorField(g, vals), R=0.5)
+        np.testing.assert_allclose(res.F, np.eye(2), atol=1e-12)
+        assert res.orthogonality_defect <= 1e-12
+        assert res.residual > 0.05
 
 
 @dataclass(frozen=True)

@@ -402,8 +402,7 @@ class TestLaminateUpper:
         # each used to end in a bare IndexError or ZeroDivisionError, or to
         # run on an empty or mirrored grid
         with pytest.raises(ValueError, match=f"LaminateSearch.{field} must be"):
-            compute_bounds(np.diag([0.5, 0.7]), PHI2, 2.0, order=8,
-                           search=LaminateSearch(**{field: value}))
+            LaminateSearch(**{field: value})
 
     def test_compute_bounds_evaluates_each_average_once(self, monkeypatch):
         # the laminate search takes compute_bounds' own lower and tilde
@@ -414,11 +413,10 @@ class TestLaminateUpper:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(peribond.density, name, counted)
         F = rot(0.3) @ np.diag([1.5, 0.25]) @ rot(-1.1)
-        s = LaminateSearch(n_lambda=5, n_mag=4, n_angle=8, refine_rounds=1)
-        b = compute_bounds(F, PHI2, 2.0, order=64, search=s)
+        b = compute_bounds(F, PHI2, 2.0, order=64)
         assert calls == {"density_lower": 1, "density_tilde": 1}
         assert b.lower <= b.laminate_upper <= b.tilde
-        alone = density_laminate_upper(F, PHI2, 2.0, sphere_quadrature(2, 64), s)
+        alone = density_laminate_upper(F, PHI2, 2.0, sphere_quadrature(2, 64))
         assert b.laminate_upper == pytest.approx(alone, rel=1e-14)
 
 

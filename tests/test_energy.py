@@ -430,15 +430,6 @@ class TestEEps:
         dead = np.flatnonzero(np.all(deformed[ref.j] == deformed[ref.i], axis=1))
         assert [(ref.i[k], ref.j[k]) for k in dead] == [(45, 46), (9, 17)]
 
-    def test_load_term(self):
-        g = unit_interval_grid(50)
-        w = catalog_potential("mbm_smooth")
-        u = field_from_function(g, lambda x: np.ones_like(x))
-        l = field_from_function(g, lambda x: 2 * np.ones_like(x))
-        with_l = energy_E_eps(u, w, 1.0, 0.1, l=l, support_radius=0.2).value
-        without_l = energy_E_eps(u, w, 1.0, 0.1, support_radius=0.2).value
-        assert with_l == pytest.approx(without_l - 2.0, rel=1e-12)
-
 
 class TestLinearizationPass:
     """linearization_experiment computes E0 and every E_eps in one pass over
@@ -446,35 +437,36 @@ class TestLinearizationPass:
 
     EPS = (0.2, 0.1, 0.05)
 
-    @pytest.mark.parametrize("load", [False, True])
+    @pytest.mark.parametrize("by_pairs", [False, True])
     @pytest.mark.parametrize("m", [1.0, 2.0])
     @pytest.mark.parametrize("tag", ["quartic", "cohesive", "mbm", "two_well"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_rows_equal_single_calls_and_reference(self, d, tag, m, load):
+    def test_rows_equal_single_calls_and_reference(self, d, tag, m, by_pairs):
+        # the single calls take their horizon from the pair set or from the
+        # support radius alone; either rule gives the table's bonds
         n, radius = TestStencilEquivalence.SIZES[d]
         g = box_grid(d, 0.0, 1.0, n)
         rng = np.random.default_rng(80 + d)
         x = g.nodes()
         u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
-        l = VectorField(g, rng.standard_normal(x.shape)) if load else None
         w = catalog_potential(tag)
         rho = w.psi_ss0
-        tab = linearization_experiment(u, w, m, self.EPS, l=l, support_radius=radius)
+        tab = linearization_experiment(u, w, m, self.EPS, support_radius=radius)
 
-        pairs = build_pairs(g, None, radius)
-        assert tab.E0 == energy_E0(u, rho, l, radius, pairs=pairs).value
+        horizon = (dict(pairs=build_pairs(g, None, radius)) if by_pairs
+                   else dict(support_radius=radius))
+        assert tab.E0 == energy_E0(u, rho, **horizon).value
         assert [r.eps for r in tab.rows] == list(self.EPS)
         for row in tab.rows:
             assert not row.flagged
-            assert row.E_eps == energy_E_eps(u, w, m, row.eps, l, radius, pairs=pairs).value
+            assert row.E_eps == energy_E_eps(u, w, m, row.eps, **horizon).value
 
         ref = PerPairReference(g, np.ones(g.n_nodes, dtype=bool), radius)
-        f = 0.0 if l is None else g.cell_volume * np.sum(l.values * u.values)
         xr = ref.seminorm_Xrho(u, rho)
-        assert abs(tab.E0 - (0.5 * xr - f)) <= 1e-13 * (0.5 * xr + abs(f))
+        assert abs(tab.E0 - 0.5 * xr) <= 1e-13 * (0.5 * xr)
         for row in tab.rows:
             e = ref.energy_E_eps(u, w, m, row.eps)
-            assert abs(row.E_eps - (e - f)) <= 1e-13 * (abs(e) + abs(f))
+            assert abs(row.E_eps - e) <= 1e-13 * abs(e)
 
     def test_collapsed_eps_is_flagged_alone(self):
         # at eps = 1/2 the bond (a, a + 1) along offset (0, 1) collapses, and
@@ -519,8 +511,9 @@ class TestLinearizationPass:
             energy_E_eps(u, w, 1.0, bad, support_radius=0.2)
 
     def test_horizon_is_required(self):
-        # without pairs or a support radius there is no horizon to default to;
-        # the unit radius would take every pair of the unit interval
+        # without pairs or a support radius there is no horizon to default to,
+        # not even a kernel's own; the unit radius would take every pair of
+        # the unit interval
         g = unit_interval_grid(16)
         u = field_from_function(g, lambda x: x**2)
         w = catalog_potential("quartic")
@@ -528,6 +521,8 @@ class TestLinearizationPass:
             energy_E_eps(u, w, 1.0, 0.1)
         with pytest.raises(ValueError, match="support_radius"):
             linearization_experiment(u, w, 1.0, [0.1, 0.05])
+        with pytest.raises(ValueError, match="support_radius"):
+            energy_E0(u, make_rescaled(box_kernel(1), 0.2))
 
 
 class TestSeminorms:

@@ -4,6 +4,7 @@ the concentrating-kernel localization driver."""
 import numpy as np
 import pytest
 
+import peribond.solver
 from peribond.energy import energy_Fn, gradient_Fn
 from peribond.grids import (Grid, SubdomainMask, affine_field, box_grid,
                             field_from_function, full_mask, unit_interval_grid)
@@ -140,13 +141,27 @@ class TestStopReason:
         assert not res.converged
         assert res.stop_reason == "max_iters"
 
-    def test_line_search_fails_at_zero_tolerance(self):
+    def test_line_search_fails_at_zero_tolerance(self, monkeypatch):
         # no gradient is exactly zero, so descent runs on until no trial
         # lowers the energy or every trial step rounds away
-        res = minimize_Fng(wavy_problem_1d(grad_tol=0.0, max_iters=5000))
+        monkeypatch.setattr(peribond.solver, "_GRAD_TOL_1D", 0.0)
+        res = minimize_Fng(wavy_problem_1d(max_iters=5000))
         assert not res.converged
         assert res.stop_reason == "line_search_failed"
         assert res.iterations < 5000
+
+    def test_tolerance_by_dimension(self, monkeypatch):
+        # a 1D solve stops at _GRAD_TOL_1D and never reads _GRAD_TOL
+        fine = minimize_Fng(wavy_problem_1d())
+        assert fine.stop_reason == "converged"
+        assert fine.grad_norm <= 1e-8
+        monkeypatch.setattr(peribond.solver, "_GRAD_TOL", 0.0)
+        assert minimize_Fng(wavy_problem_1d()).iterations == fine.iterations
+        monkeypatch.setattr(peribond.solver, "_GRAD_TOL_1D", 1e-4)
+        coarse = minimize_Fng(wavy_problem_1d())
+        assert coarse.stop_reason == "converged"
+        assert coarse.grad_norm <= 1e-4
+        assert coarse.iterations < fine.iterations
 
     def test_converged_with_reused_gradient(self):
         # the reported gradient norm is that of the returned iterate
