@@ -96,16 +96,20 @@ def _rank_one_terms(sig: np.ndarray, a: np.ndarray,
     return lin, quad
 
 
-def _laminate_values(sig: np.ndarray, lam: float, lin: np.ndarray,
-                     quad: np.ndarray, phi: Potential, m: float,
-                     rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """lam tilde(F + (1-lam) a (x) n) + (1-lam) tilde(F - lam a (x) n) at
-    F = diag(sig), one candidate (a, n) per row of the ``_rank_one_terms``."""
+def _shear_averages(sig: np.ndarray, aa: np.ndarray, an: np.ndarray, mus: np.ndarray,
+                    phi: Potential, m: float, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """tilde(diag(sig) + mu a (x) n), shape (U, P), for every shear mu and each
+    pair of unit vectors a, n at the angles aa[k], an[k]; a batch holds as many
+    whole shears as fit in ``_LAMINATE_CHUNK`` rows times nodes, at least one."""
+    lin, quad = _rank_one_terms(sig, *(np.stack([np.cos(t), np.sin(t)], -1) for t in (aa, an)))
     base = np.array([sig[0] ** 2, 0.0, sig[1] ** 2])
-    s = 1.0 - lam
-    plus = _sphere_average(base + s * lin + s * s * quad, phi, m, rule)
-    minus = _sphere_average(base - lam * lin + lam * lam * quad, phi, m, rule)
-    return lam * plus + (1.0 - lam) * minus
+    out = np.empty((len(mus), len(aa)))
+    step = max(1, _LAMINATE_CHUNK // (len(rule[1]) * len(aa)))
+    for start in range(0, len(mus), step):
+        mu = mus[start:start + step, None, None]
+        out[start:start + step] = _sphere_average(
+            (base + mu * lin + mu * mu * quad).reshape(-1, 3), phi, m, rule).reshape(len(mu), -1)
+    return out
 
 
 def density_lower(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
@@ -154,7 +158,7 @@ def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                            _monomial_rule(q))
 
 
-#: laminate candidates times kept quadrature nodes per batch: bounds the
+#: laminate averages times kept quadrature nodes per batch: bounds the
 #: (B, Q) temporaries, and a batch that fits in cache beats a larger one
 _LAMINATE_CHUNK = 2**14
 
@@ -166,7 +170,8 @@ class LaminateSearch:
     The coarse grid crosses the volume fractions ``linspace(0, 1,
     n_lambda)[1:-1]``, ``n_mag`` lengths of a and the angle pairs (kpi/n_angle)
     of a and n, one per mirror orbit (see ``_laminate_upper``); each
-    refinement round is a whole 7^4 grid around the best candidate.
+    refinement round is a whole 7^4 grid around the best candidate.  A default
+    search takes at most 94,928 sphere averages, one per distinct shear and pair.
     """
 
     n_lambda: int = 17
@@ -231,7 +236,10 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
     when exactly one index is 0; value(lam, -a (x) n) = value(1 - lam,
     a (x) n) covers that case, but needs the grid of lam symmetric about 1/2,
     as ``linspace(0, 1, n_lambda)[1:-1]`` is.  The refinement rounds are
-    evaluated whole.
+    evaluated whole.  Both matrices of a candidate are diag(sig) + mu a (x) n
+    with |a| = 1, mu = (1-lam) mag or -lam mag, and each distinct mu is averaged
+    once per pair: at most 94,928 averages per default search (85,324 coarse,
+    at most 9,604 refinement) against 194,644 at two per candidate.
     """
     if search is None:
         search = LaminateSearch()
@@ -239,29 +247,30 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
     mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
     angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
     rule = _monomial_rule(q)
-    chunk = max(1, _LAMINATE_CHUNK // len(rule[1]))
 
-    def evaluate(lams, mags, aa, an):
-        # aa[k] and an[k] are the angles of a and n of one pair; the (a, n)
-        # terms are shared by every lam, candidates run in the order of a
-        # flat (lam, mag, pair) grid, and the first minimum wins
-        mag = np.repeat(mags, len(aa))
-        aa, an = np.tile(aa, len(mags)), np.tile(an, len(mags))
-        a = mag[:, None] * np.stack([np.cos(aa), np.sin(aa)], axis=-1)
-        lin, quad = _rank_one_terms(sig, a, np.stack([np.cos(an), np.sin(an)], axis=-1))
-        best_val, best = np.inf, (lams[0], mag[0], aa[0], an[0])
-        for lam in lams:
-            for start in range(0, len(mag), chunk):
-                sl = slice(start, start + chunk)
-                vals = _laminate_values(sig, lam, lin[sl], quad[sl], phi, m, rule)
-                k = int(np.argmin(vals))
-                if vals[k] < best_val:
-                    best_val, k = float(vals[k]), start + k
-                    best = (lam, mag[k], aa[k], an[k])
+    def evaluate(lams, mags, shears, aa, an):
+        # shears[:, i, j] = ((1-lam_i) mag_j, -lam_i mag_j) and aa[k], an[k]
+        # are the angles of a/|a| and n of one pair; candidates run in the
+        # order of a flat (lam, mag, pair) grid, and the first minimum wins
+        mus, inv = np.unique(shears, return_inverse=True)
+        f = _shear_averages(sig, aa, an, mus, phi, m, rule)
+        inv = inv.reshape(shears.shape)
+        best_val, best = np.inf, (lams[0], mags[0], aa[0], an[0])
+        for i, lam in enumerate(lams):
+            vals = lam * f[inv[0, i]] + (1.0 - lam) * f[inv[1, i]]
+            k = int(np.argmin(vals))
+            if vals.flat[k] < best_val:
+                best_val, (j, k) = float(vals.flat[k]), divmod(k, len(aa))
+                best = (lam, mags[j], aa[k], an[k])
         return best_val, best
 
+    # lam = k/(n_lambda-1) and mag = j max_mag/n_mag on the coarse grid: a shear
+    # is a unit times an integer product, and equal products give equal floats
+    ks, js = np.arange(1, search.n_lambda - 1)[:, None], np.arange(1, search.n_mag + 1)
+    shears = (search.max_mag / (search.n_mag * (search.n_lambda - 1))
+              * np.stack([(search.n_lambda - 1 - ks) * js, -ks * js]))
     ka, kn = _mirror_orbit_pairs(search.n_angle)
-    best, (bl, bm, ba, bn) = evaluate(lams, mags, angs[ka], angs[kn])
+    best, (bl, bm, ba, bn) = evaluate(lams, mags, shears, angs[ka], angs[kn])
     dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
     dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
     da = angs[1] - angs[0]
@@ -270,7 +279,8 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
         mags_r = np.clip(bm + np.linspace(-dm, dm, 7), 1e-6, None)
         aa, an = np.meshgrid(ba + np.linspace(-da, da, 7),
                              bn + np.linspace(-da, da, 7), indexing="ij")
-        val, (bl, bm, ba, bn) = evaluate(lams_r, mags_r, aa.ravel(), an.ravel())
+        shears = np.stack([np.outer(1.0 - lams_r, mags_r), -np.outer(lams_r, mags_r)])
+        val, (bl, bm, ba, bn) = evaluate(lams_r, mags_r, shears, aa.ravel(), an.ravel())
         best = min(best, val)
         dl, dm, da = dl / 3, dm / 3, da / 3
 

@@ -208,11 +208,14 @@ class TestLaminateFastPath:
     def test_candidate_value_matches_reference(self, phi, m):
         sig, lam, a, n = self.candidates(11, 4)
         q = sphere_quadrature(2, 32)
-        lin, quad = peribond.density._rank_one_terms(sig, a, n)
+        mag = np.hypot(a[:, 0], a[:, 1])
         for k in range(4):
-            got = peribond.density._laminate_values(
-                sig, lam[k], lin[k:k + 1], quad[k:k + 1], phi, m,
-                peribond.density._monomial_rule(q))[0]
+            f = peribond.density._shear_averages(
+                sig, np.arctan2(a[k:k + 1, 1], a[k:k + 1, 0]),
+                np.arctan2(n[k:k + 1, 1], n[k:k + 1, 0]),
+                np.array([(1 - lam[k]) * mag[k], -lam[k] * mag[k]]), phi, m,
+                peribond.density._monomial_rule(q))
+            got = lam[k] * f[0, 0] + (1 - lam[k]) * f[1, 0]
             rank1 = np.outer(a[k], n[k])
             F = np.diag(sig)
             want = (lam[k] * reference_average(F + (1 - lam[k]) * rank1, phi, m, q, False)
@@ -242,7 +245,9 @@ def full_grid_laminate(F, phi, m, q, search):
     mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
     angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
     best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
-    dl, dm, da = lams[1] - lams[0], mags[1] - mags[0], angs[1] - angs[0]
+    dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
+    dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
+    da = angs[1] - angs[0]
     for _ in range(search.refine_rounds):
         step = np.linspace(-1.0, 1.0, 7)
         val, (bl, bm, ba, bn) = evaluate(np.clip(bl + dl * step, 1e-3, 1 - 1e-3),
@@ -278,13 +283,11 @@ class TestLaminateMirrorOrbits:
         ka, kn = (k.ravel() for k in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
         mirror = (-ka) % n * n + (-kn) % n
         ang = np.pi * np.arange(n) / n
-        a = 0.9 * np.stack([np.cos(ang[ka]), np.sin(ang[ka])], -1)
-        lin, quad = peribond.density._rank_one_terms(
-            sig, a, np.stack([np.cos(ang[kn]), np.sin(ang[kn])], -1))
-        rule = peribond.density._monomial_rule(sphere_quadrature(2, 32))
         lams = np.linspace(0.0, 1.0, 9)[1:-1]
-        vals = {lam: peribond.density._laminate_values(sig, lam, lin, quad, phi, m, rule)
-                for lam in lams}
+        f = peribond.density._shear_averages(
+            sig, ang[ka], ang[kn], 0.9 * np.concatenate([1.0 - lams, -lams]), phi, m,
+            peribond.density._monomial_rule(sphere_quadrature(2, 32)))
+        vals = {lam: lam * f[i] + (1.0 - lam) * f[len(lams) + i] for i, lam in enumerate(lams)}
         swap = (ka == 0) != (kn == 0)
         for lam in lams:
             other = np.where(swap, vals[1.0 - lam][mirror], vals[lam][mirror])
@@ -308,6 +311,58 @@ class TestLaminateMirrorOrbits:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
             below += want < tilde
         assert below >= 6  # the search is not merely capped at tilde
+
+
+class TestLaminateSharedShears:
+    """The laminate search averages each distinct shear mu of a candidate's
+    two matrices diag(sig) + mu a (x) n once per angle pair; against the
+    per-candidate reference."""
+
+    @staticmethod
+    def check(phi, m, search):
+        rng = np.random.default_rng(31)
+        q = sphere_quadrature(2, 16)
+        for _ in range(4):
+            F = (rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.4, 1.4, 2)))
+                 @ rot(rng.uniform(0, 7)))
+            tilde = density_tilde(F, phi, m, q)
+            want = full_grid_laminate(F, phi, m, q, search)
+            got = density_laminate_upper(F, phi, m, q, search)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    def test_default_search_matches_full_grid(self, phi, m):
+        self.check(phi, m, LaminateSearch())
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    @pytest.mark.parametrize("n_lambda", [3, 5])
+    @pytest.mark.parametrize("n_mag", [1, 4])
+    def test_small_grids_match_full_grid(self, phi, m, n_lambda, n_mag):
+        self.check(phi, m, LaminateSearch(n_lambda=n_lambda, n_mag=n_mag, n_angle=8,
+                                          refine_rounds=1))
+
+    def test_default_search_averages_each_shear_once(self, monkeypatch):
+        rows = []
+        average = peribond.density._sphere_average
+
+        def counted(coef, *args, **kwargs):
+            rows.append(len(coef))
+            return average(coef, *args, **kwargs)
+
+        monkeypatch.setattr(peribond.density, "_sphere_average", counted)
+        F, q = rot(0.4) @ np.diag([1.3, 0.6]) @ rot(-0.8), sphere_quadrature(2, 8)
+        # lower and tilde at F, then the 83 distinct products k j (k <= 15,
+        # j <= 12) of each sign on 514 angle pairs; two averages per
+        # candidate took 2 * 15 * 12 * 514 = 185,040
+        density_laminate_upper(F, PHI2, 2.0, q, LaminateSearch(refine_rounds=0))
+        assert sum(rows) == 2 + 2 * 83 * 514
+        # each refinement round: at most 2 * 7 * 7 shears on 7 * 7 pairs
+        # (the first round's products can still coincide)
+        rows.clear()
+        density_laminate_upper(F, PHI2, 2.0, q)
+        assert 2 + 85_324 < sum(rows) <= 2 + 85_324 + 2 * 98 * 49
 
 
 def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature,

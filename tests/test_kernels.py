@@ -4,8 +4,7 @@ that a catalog micro-potential carries."""
 import numpy as np
 import pytest
 
-from helpers import (check_assumption_A, check_density_condition, custom_radial,
-                     fractional_sequence, tail_mass)
+from helpers import check_assumption_A, check_density_condition, custom_radial, tail_mass
 from peribond.kernels import (KernelSequence, box_kernel, box_sequence,
                               make_fractional, make_rescaled, radial_integral)
 from peribond.materials import catalog_potential
@@ -77,18 +76,6 @@ class TestTails:
         assert rep.passed
         assert rep.tail[-1] == 0.0
 
-    def test_fractional_sequence_tail_decay(self):
-        # closed form: mass outside B(0, delta) is 1 - delta^(p(1-s));
-        # the decay is only O(1/n) along s(n) = 1 - 1/(n+1), so the terminal
-        # tolerance is matched to the analytic tail
-        p = 2.0
-        rep = check_assumption_A(fractional_sequence(2, p=p), delta=0.3,
-                                 n_max=12, tol=0.2)
-        assert rep.passed
-        n = np.arange(1, 13)
-        s = 1.0 - 1.0 / (n + 1)
-        np.testing.assert_allclose(rep.tail, 1.0 - 0.3 ** (p * (1 - s)), rtol=1e-8)
-
     def test_tail_that_rises_late_fails(self):
         # box horizons 0.5, 0.4, 0.9, 0.35, 0.8, 0.31: the tails outside 0.3
         # are 1 - 0.3/delta_n, ending below tol but rising at n = 5
@@ -104,14 +91,6 @@ class TestTails:
 
 
 class TestDensityCondition:
-    def test_box_1d_closed_form(self):
-        # int_{|z|>delta} rho(z)/z^2 dz with rho = 1/2 on (-1,1) is 1/delta - 1
-        k = box_kernel(1)
-        rep = check_density_condition(k, p=2.0)
-        expected = 1.0 / rep.deltas - 1.0
-        np.testing.assert_allclose(rep.integrals, expected, rtol=1e-9)
-        assert rep.passed
-
     def test_fractional_passes(self):
         rep = check_density_condition(make_fractional(2, 0.5, 2.0), p=2.0)
         assert rep.passed

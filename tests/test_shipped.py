@@ -1,7 +1,9 @@
 """The shipped demos and configs run to a clean exit against the library,
-and everything the library exports has a use outside the tests."""
+everything the library exports has a use outside the tests, and every
+benchmark record at the root says what ran, where and how."""
 
 import ast
+import json
 import re
 import runpy
 from pathlib import Path
@@ -23,6 +25,13 @@ def test_demo_runs(path, capsys):
 def test_config_runs(path, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_names_label_env_and_harness(path):
+    # a claimed speed-up stands only with its machine and harness beside it
+    record = json.loads(path.read_text())
+    assert {"label", "env", "harness"} <= record.keys()
 
 
 def test_every_export_has_a_caller_outside_the_tests():
