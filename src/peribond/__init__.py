@@ -15,7 +15,7 @@ from .materials import (CATALOG_TAGS, MicroPotential, Potential,
 from .energy import (EnergyReport, PairSet, StrainDomainError, build_pairs,
                      energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
                      gradient_Fn, seminorm_W)
-from .density import (DensityBounds, LaminateSearch, closed_form_tilde_2d,
+from .density import (DensityBounds, closed_form_tilde_2d,
                       compute_bounds, density_laminate_upper, density_lower,
                       density_lower_batch, density_tilde, density_tilde_batch,
                       singular_values, zero_set_predicate)

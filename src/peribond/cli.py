@@ -334,7 +334,11 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         csv_name, cols, rows, summary, contracts = _RUNNERS[cfg["experiment"]](cfg)
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
+        # a plain RuntimeError is the laminate sandwich guard; its subclasses
+        # (RecursionError, NotImplementedError) are faults of the program
+        if isinstance(exc, RuntimeError) and type(exc) is not RuntimeError:
+            raise
         _error_json(out_dir, "numerical", str(exc))
         return EXIT_NUMERICAL
     _write_csv(out_dir / csv_name, cols, rows)

@@ -133,6 +133,8 @@ def closed_form_tilde_2d(F) -> float:
     (1/16) (|F^T F - I|^2 + (|F|^2 - 2)^2 / 2).
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
+    if F.shape != (2, 2):
+        raise ValueError("closed form supports d = 2 only")
     G = F.T @ F
     dev = G - np.eye(2)
     return float((np.sum(dev**2) + 0.5 * (np.trace(G) - 2.0) ** 2) / 16.0)
@@ -163,32 +165,16 @@ def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
 _LAMINATE_CHUNK = 2**14
 
 
-@dataclass
-class LaminateSearch:
-    """Brute-force grid for the first-order laminate upper bound (d = 2).
-
-    The coarse grid crosses the volume fractions ``linspace(0, 1,
-    n_lambda)[1:-1]``, ``n_mag`` lengths of a and the angle pairs (kpi/n_angle)
-    of a and n, one per mirror orbit (see ``_laminate_upper``); each
-    refinement round is a whole 7^4 grid around the best candidate.  A default
-    search takes at most 94,928 sphere averages, one per distinct shear and pair.
-    """
-
-    n_lambda: int = 17
-    n_mag: int = 12
-    max_mag: float = 2.0
-    n_angle: int = 32
-    refine_rounds: int = 2
-
-    def __post_init__(self):
-        for name, ok, need in (("n_lambda", self.n_lambda >= 3, ">= 3"),
-                               ("n_mag", self.n_mag >= 1, ">= 1"),
-                               ("max_mag", self.max_mag > 0, "> 0"),
-                               ("n_angle", self.n_angle >= 2, ">= 2"),
-                               ("refine_rounds", self.refine_rounds >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"LaminateSearch.{name} must be {need}, "
-                                 f"got {getattr(self, name)!r}")
+#: the grid of the first-order laminate upper bound (d = 2): the coarse grid
+#: crosses the volume fractions ``linspace(0, 1, _N_LAMBDA)[1:-1]``, ``_N_MAG``
+#: lengths of a up to ``_MAX_MAG`` and the angle pairs (k pi/_N_ANGLE) of a and n,
+#: one per mirror orbit (see ``_laminate_upper``); each of the ``_REFINE_ROUNDS``
+#: refinement rounds is a whole 7^4 grid around the best candidate
+_N_LAMBDA = 17
+_N_MAG = 12
+_MAX_MAG = 2.0
+_N_ANGLE = 32
+_REFINE_ROUNDS = 2
 
 
 def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +186,7 @@ def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ka[keep], kn[keep]
 
 
-def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
-                           search: LaminateSearch | None = None) -> float:
+def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """One-level rank-one lamination upper bound on the relaxed density.
 
     Minimizes lam * tilde(F + (1-lam) a x n) + (1-lam) * tilde(F - lam a x n)
@@ -218,13 +203,12 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature,
         raise ValueError("laminate search supports d = 2 only")
     sig = np.linalg.svd(F, compute_uv=False)
     F = np.diag(sig)
-    return _laminate_upper(sig, phi, m, q, search, density_lower(F, phi, m, q),
+    return _laminate_upper(sig, phi, m, q, density_lower(F, phi, m, q),
                            density_tilde(F, phi, m, q))
 
 
 def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
-                    q: SphereQuadrature, search: LaminateSearch | None,
-                    lower_F: float, tilde_F: float) -> float:
+                    q: SphereQuadrature, lower_F: float, tilde_F: float) -> float:
     """The laminate search at F = diag(sig), capped by ``tilde_F`` and
     checked against ``lower_F``, the two averages at the same matrix.
 
@@ -235,17 +219,15 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
     (k_a, k_n) to that of ((-k_a) mod n, (-k_n) mod n), or to its negative
     when exactly one index is 0; value(lam, -a (x) n) = value(1 - lam,
     a (x) n) covers that case, but needs the grid of lam symmetric about 1/2,
-    as ``linspace(0, 1, n_lambda)[1:-1]`` is.  The refinement rounds are
+    as ``linspace(0, 1, _N_LAMBDA)[1:-1]`` is.  The refinement rounds are
     evaluated whole.  Both matrices of a candidate are diag(sig) + mu a (x) n
     with |a| = 1, mu = (1-lam) mag or -lam mag, and each distinct mu is averaged
-    once per pair: at most 94,928 averages per default search (85,324 coarse,
-    at most 9,604 refinement) against 194,644 at two per candidate.
+    once per pair: at most 94,928 averages per search (85,324 coarse, at most
+    9,604 refinement) against 194,644 at two per candidate.
     """
-    if search is None:
-        search = LaminateSearch()
-    lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
-    mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
-    angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
+    lams = np.linspace(0.0, 1.0, _N_LAMBDA)[1:-1]
+    mags = np.linspace(_MAX_MAG / _N_MAG, _MAX_MAG, _N_MAG)
+    angs = np.linspace(0.0, np.pi, _N_ANGLE, endpoint=False)
     rule = _monomial_rule(q)
 
     def evaluate(lams, mags, shears, aa, an):
@@ -264,17 +246,17 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
                 best = (lam, mags[j], aa[k], an[k])
         return best_val, best
 
-    # lam = k/(n_lambda-1) and mag = j max_mag/n_mag on the coarse grid: a shear
+    # lam = k/(_N_LAMBDA-1) and mag = j _MAX_MAG/_N_MAG on the coarse grid: a shear
     # is a unit times an integer product, and equal products give equal floats
-    ks, js = np.arange(1, search.n_lambda - 1)[:, None], np.arange(1, search.n_mag + 1)
-    shears = (search.max_mag / (search.n_mag * (search.n_lambda - 1))
-              * np.stack([(search.n_lambda - 1 - ks) * js, -ks * js]))
-    ka, kn = _mirror_orbit_pairs(search.n_angle)
+    ks, js = np.arange(1, _N_LAMBDA - 1)[:, None], np.arange(1, _N_MAG + 1)
+    shears = (_MAX_MAG / (_N_MAG * (_N_LAMBDA - 1))
+              * np.stack([(_N_LAMBDA - 1 - ks) * js, -ks * js]))
+    ka, kn = _mirror_orbit_pairs(_N_ANGLE)
     best, (bl, bm, ba, bn) = evaluate(lams, mags, shears, angs[ka], angs[kn])
     dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
     dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
     da = angs[1] - angs[0]
-    for _ in range(search.refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         lams_r = np.clip(bl + np.linspace(-dl, dl, 7), 1e-3, 1 - 1e-3)
         mags_r = np.clip(bm + np.linspace(-dm, dm, 7), 1e-6, None)
         aa, an = np.meshgrid(ba + np.linspace(-da, da, 7),
@@ -317,7 +299,7 @@ def compute_bounds(F, phi: Potential, m: float, order: int,
     tilde = density_tilde(F, phi, m, q)
     if with_laminate and d == 2:
         # the averages at F equal those at diag(sigma(F)) up to rounding
-        lam = _laminate_upper(singular_values(F), phi, m, q, None, lower, tilde)
+        lam = _laminate_upper(singular_values(F), phi, m, q, lower, tilde)
     else:
         lam = tilde
     return DensityBounds(F, lower, tilde, lam)

@@ -178,11 +178,10 @@ def field_from_function(grid: Grid, f) -> VectorField:
     return VectorField(grid, vals)
 
 
-def affine_field(grid: Grid, F: np.ndarray, b=None) -> VectorField:
-    """The field x -> F x + b."""
+def affine_field(grid: Grid, F: np.ndarray) -> VectorField:
+    """The field x -> F x."""
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    b = np.zeros(grid.dim) if b is None else np.asarray(b, dtype=float)
-    return VectorField(grid, grid.nodes() @ F.T + b)
+    return VectorField(grid, grid.nodes() @ F.T)
 
 
 @dataclass(frozen=True)

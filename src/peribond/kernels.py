@@ -72,7 +72,6 @@ class Kernel:
     """
 
     dim: int
-    family: str
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
 
@@ -89,15 +88,10 @@ class Kernel:
         return radial_integral(self.profile, 0.0, self.support_radius, self.dim)
 
 
-
-def _ball_volume(d: int, radius: float) -> float:
-    return SPHERE_AREA[d] * radius**d / d
-
-
-def box_kernel(d: int, radius: float = 1.0) -> Kernel:
-    """Indicator kernel: constant on B(0, radius), normalized to unit mass."""
-    c = 1.0 / _ball_volume(d, radius)
-    return Kernel(d, "box", lambda r: np.full_like(r, c), radius)
+def box_kernel(d: int) -> Kernel:
+    """Indicator kernel: constant on the unit ball, normalized to unit mass."""
+    c = 1.0 / (SPHERE_AREA[d] / d)  # one over the volume of the unit ball
+    return Kernel(d, lambda r: np.full_like(r, c), 1.0)
 
 
 def make_rescaled(base: Kernel, delta: float) -> Kernel:
@@ -113,8 +107,7 @@ def make_rescaled(base: Kernel, delta: float) -> Kernel:
     def profile(r):
         return prof(r / delta) / delta**d
 
-    return Kernel(d, f"rescaled({base.family})", profile,
-                  support_radius=delta * base.support_radius)
+    return Kernel(d, profile, support_radius=delta * base.support_radius)
 
 
 def make_fractional(d: int, s: float, p: float) -> Kernel:
@@ -135,7 +128,7 @@ def make_fractional(d: int, s: float, p: float) -> Kernel:
     def profile(r, _c=c * (1.0 - s), _b=beta):
         return _c * r ** (-_b)
 
-    return Kernel(d, "fractional", profile, 1.0)
+    return Kernel(d, profile, 1.0)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ def _strain(m: float, t: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Potential:
     """Nondecreasing convex profile Phi on [0, inf) with p-growth constants."""
 
-    name: str
     func: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
     p: float
@@ -68,7 +67,6 @@ def power_potential(p: float, scale: float = 1.0) -> Potential:
     if p <= 1:
         raise ValueError("growth exponent p must exceed 1")
     return Potential(
-        name=f"power(p={p}, scale={scale})",
         func=lambda a, s=scale, q=p: s * a**q,
         deriv=lambda a, s=scale, q=p: s * q * np.maximum(a, 0.0) ** (q - 1),
         p=p, C0=scale, C1=scale,
@@ -97,7 +95,6 @@ class MicroPotential:
     regime.
     """
 
-    tag: str
     psi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     psi_ss0: Callable[[np.ndarray], np.ndarray]
     c1: float
@@ -142,7 +139,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return np.where(s <= s0, 0.5 * c * s**2, 0.5 * c * s0**2)
 
-        return MicroPotential("mbm", psi, _constant(c), c1=c / 2, c2=c, delta0=s0)
+        return MicroPotential(psi, _constant(c), c1=c / 2, c2=c, delta0=s0)
 
     if tag == "mbm_smooth":
         c = params.get("c", 2.0)
@@ -150,7 +147,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
         def psi(r, s):
             return 0.5 * c * np.asarray(s, dtype=float) ** 2
 
-        return MicroPotential("mbm_smooth", psi, _constant(c), c1=c / 2, c2=c, delta0=1.0)
+        return MicroPotential(psi, _constant(c), c1=c / 2, c2=c, delta0=1.0)
 
     if tag == "modified_mbm":
         s0 = params.get("s0", 0.5)
@@ -160,8 +157,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return 0.5 * c * s0**2 * (1.0 - np.exp(-(s / s0) ** 2))
 
-        return MicroPotential("modified_mbm", psi, _constant(c), c1=c / 4, c2=c,
-                              delta0=s0 / 2)
+        return MicroPotential(psi, _constant(c), c1=c / 4, c2=c, delta0=s0 / 2)
 
     if tag == "cohesive":
         f = params.get("f")
@@ -179,7 +175,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             return f(r * s**2)
 
         # d2/ds2 f(r s^2) at 0 = 2 r f'(0)
-        return MicroPotential("cohesive", psi,
+        return MicroPotential(psi,
                               lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float),
                               c1=fprime0 / 4, c2=4.0 * fprime0, delta0=0.25)
 
@@ -189,7 +185,7 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
             s = np.asarray(s, dtype=float)
             return (s * (s + 2.0)) ** 2
 
-        return MicroPotential("quartic", psi, _constant(8.0), c1=2.0, c2=24.0, delta0=0.25)
+        return MicroPotential(psi, _constant(8.0), c1=2.0, c2=24.0, delta0=0.25)
 
     s0 = params.get("s0", 0.5)  # two_well
 
@@ -197,4 +193,4 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
         s = np.asarray(s, dtype=float)
         return np.minimum(s**2, (s - s0) ** 2)
 
-    return MicroPotential("two_well", psi, _constant(2.0), c1=1.0, c2=2.0, delta0=s0 / 2)
+    return MicroPotential(psi, _constant(2.0), c1=1.0, c2=2.0, delta0=s0 / 2)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import peribond.density
 from peribond.energy import PairSet, _bond_runs, _norm
 from peribond.grids import VectorField
 from peribond.kernels import (Kernel, KernelSequence, make_fractional,
@@ -15,6 +16,17 @@ from peribond.materials import Potential, power_potential
 def rot(th):
     """The 2D rotation by the angle ``th``."""
     return np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+
+
+def set_laminate_grid(monkeypatch, n_lambda: int, n_mag: int, max_mag: float,
+                      n_angle: int, refine_rounds: int) -> None:
+    """Run the laminate search of ``peribond.density`` on another grid for
+    one test: volume fractions ``linspace(0, 1, n_lambda)[1:-1]``, ``n_mag``
+    lengths of a up to ``max_mag``, ``n_angle`` angles and ``refine_rounds``
+    refinement rounds."""
+    for name, value in (("_N_LAMBDA", n_lambda), ("_N_MAG", n_mag), ("_MAX_MAG", max_mag),
+                        ("_N_ANGLE", n_angle), ("_REFINE_ROUNDS", refine_rounds)):
+        monkeypatch.setattr(peribond.density, name, value)
 
 
 def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
@@ -37,7 +49,7 @@ def huber_power(p: float, a0: float) -> Potential:
         a = np.asarray(a, dtype=float)
         return np.where(a <= a0, p * np.maximum(a, 0.0) ** (p - 1), d0)
 
-    return Potential(f"huber(p={p}, a0={a0})", func, deriv, p, 0.0, 1.0 + phi0)
+    return Potential(func, deriv, p, 0.0, 1.0 + phi0)
 
 
 def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
@@ -68,7 +80,7 @@ def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
         return slopes[idx]
 
     smooth = slopes[0] <= 1e-10
-    return Potential("tabulated", func, deriv, p, C0, C1, smooth_at_zero=smooth)
+    return Potential(func, deriv, p, C0, C1, smooth_at_zero=smooth)
 
 
 def custom_radial(d: int, profile, support_radius: float) -> Kernel:
@@ -77,8 +89,7 @@ def custom_radial(d: int, profile, support_radius: float) -> Kernel:
     if not raw > 0:
         raise ValueError("profile must have positive mass")
     c = 1.0 / raw
-    return Kernel(d, "custom-radial", lambda r: c * np.asarray(profile(r), dtype=float),
-                  support_radius)
+    return Kernel(d, lambda r: c * np.asarray(profile(r), dtype=float), support_radius)
 
 
 def fractional_sequence(d: int, p: float) -> KernelSequence:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import peribond.cli
+import peribond.density
 from peribond.cli import main
 from peribond.config import ConfigError, parse_config, validate_config
 from peribond.grids import VectorField, box_grid, full_mask
@@ -240,6 +241,27 @@ class TestCliExitCodes:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation"
+
+    def test_laminate_guard_is_4(self, tmp_path, capsys, monkeypatch):
+        # the sandwich guard of the laminate search is a numerical failure
+        monkeypatch.setattr(peribond.density, "density_lower", lambda *a, **k: 1e9)
+        cfg = write(tmp_path, "c.json", GOOD_DENSITY)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        err = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert err["error"] == "numerical"
+        assert "below the lower bound" in err["detail"]
+        assert json.loads(capsys.readouterr().err) == err
+
+    @pytest.mark.parametrize("fault", [RecursionError, NotImplementedError])
+    def test_program_fault_is_not_numerical(self, tmp_path, capsys, monkeypatch, fault):
+        def compute_bounds(*args, **kwargs):
+            raise fault("fault")
+
+        monkeypatch.setattr(peribond.cli, "compute_bounds", compute_bounds)
+        cfg = write(tmp_path, "c.json", GOOD_DENSITY)
+        with pytest.raises(fault):
+            main(["run", cfg, "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out" / "error.json").exists()
 
     def test_validate_subcommand(self, tmp_path, capsys):
         good = write(tmp_path, "good.json", GOOD_SAWTOOTH)

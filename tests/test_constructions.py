@@ -127,7 +127,7 @@ class TestRigidityReconstruct:
         g = box_grid(2, 0.0, 1.0, 24)
         U = rot(0.6)
         b = np.array([0.2, -0.1])
-        v = affine_field(g, U, b)
+        v = VectorField(g, g.nodes() @ U.T + b)
         res = rigidity_reconstruct(v, R=0.5)
         assert res.residual <= 1e-8 and res.orthogonality_defect <= 1e-8
         np.testing.assert_allclose(res.F, U, atol=1e-12)

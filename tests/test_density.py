@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import peribond.density
-from helpers import huber_power, rot, tabulated_potential
-from peribond.density import (LaminateSearch, _canonical_rows, _monomial_rule,
+from helpers import huber_power, rot, set_laminate_grid, tabulated_potential
+from peribond.density import (_canonical_rows, _monomial_rule,
                               _sphere_average, closed_form_tilde_2d, compute_bounds,
                               density_laminate_upper, density_lower,
                               density_lower_batch, density_tilde,
@@ -36,6 +36,15 @@ class TestClosedForm2D:
     def test_spot_value(self):
         # diag(2,1): G-I = diag(3,0), |G-I|^2 = 9, (trG-2)^2/2 = 4.5 -> 27/32
         assert closed_form_tilde_2d(np.diag([2.0, 1.0])) == pytest.approx(27.0 / 32.0)
+
+    @pytest.mark.parametrize("F", [[[2.0]], np.eye(3), np.ones((3, 2)),
+                                   np.ones((2, 3))],
+                             ids=["1x1", "3x3", "3x2", "2x3"])
+    def test_rejects_other_shapes(self, F):
+        # a 1 x 1 Gram used to broadcast against eye(2) and return 3.25; a
+        # 3 x 2 F has a 2 x 2 Gram and used to return 2.125
+        with pytest.raises(ValueError, match="d = 2"):
+            closed_form_tilde_2d(F)
 
 
 def one_d_exact_density(t: float, phi: Potential, m: float = 1.0) -> float:
@@ -141,7 +150,9 @@ class TestSphereAverageEquivalence:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2, power_potential(3.0),
-                                     huber_power(2.0, 0.5)], ids=lambda p: p.name)
+                                     huber_power(2.0, 0.5)],
+                             ids=["power(p=1.5, scale=1.0)", "power(p=2.0, scale=1.0)",
+                                  "power(p=3.0, scale=1.0)", "huber(p=2.0, a0=0.5)"])
     @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
     def test_matches_norm_formula(self, d, phi, m):
         q = self.QUADS[d]
@@ -163,7 +174,8 @@ class TestLaminateFastPath:
     """The node halving and the closed-form candidate Grams of the laminate
     search, each against the explicit computation it stands for."""
 
-    @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2], ids=lambda p: p.name)
+    @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2],
+                             ids=["power(p=1.5, scale=1.0)", "power(p=2.0, scale=1.0)"])
     @pytest.mark.parametrize("m", [1.0, 2.0])
     def test_odd_order_keeps_the_full_rule(self, phi, m):
         # at an odd order no node has its antipode in the rule
@@ -223,10 +235,11 @@ class TestLaminateFastPath:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-20)
 
 
-def full_grid_laminate(F, phi, m, q, search):
+def full_grid_laminate(F, phi, m, q, n_lambda, n_mag, max_mag, n_angle, refine_rounds):
     """The laminate search over every angle pair of the coarse grid, with
     each candidate's two matrices built explicitly and averaged by
-    ``density_tilde_batch``; the same first-minimum rule and refinement."""
+    ``density_tilde_batch``; the same first-minimum rule and refinement, on
+    the grid given by the five numbers that ``set_laminate_grid`` takes."""
     sig = singular_values(F)
     D = np.diag(sig)
 
@@ -241,14 +254,14 @@ def full_grid_laminate(F, phi, m, q, search):
         k = int(np.argmin(vals))
         return float(vals[k]), (lam[k], mag[k], aa[k], an[k])
 
-    lams = np.linspace(0.0, 1.0, search.n_lambda)[1:-1]
-    mags = np.linspace(search.max_mag / search.n_mag, search.max_mag, search.n_mag)
-    angs = np.linspace(0.0, np.pi, search.n_angle, endpoint=False)
+    lams = np.linspace(0.0, 1.0, n_lambda)[1:-1]
+    mags = np.linspace(max_mag / n_mag, max_mag, n_mag)
+    angs = np.linspace(0.0, np.pi, n_angle, endpoint=False)
     best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
     dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
     dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
     da = angs[1] - angs[0]
-    for _ in range(search.refine_rounds):
+    for _ in range(refine_rounds):
         step = np.linspace(-1.0, 1.0, 7)
         val, (bl, bm, ba, bn) = evaluate(np.clip(bl + dl * step, 1e-3, 1 - 1e-3),
                                          np.clip(bm + dm * step, 1e-6, None),
@@ -295,19 +308,20 @@ class TestLaminateMirrorOrbits:
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
-    def test_matches_full_grid(self, phi, m):
+    def test_matches_full_grid(self, phi, m, monkeypatch):
         rng = np.random.default_rng(29)
         Fs = [rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.5, 1.4, 2)))
               @ rot(rng.uniform(0, 7)) for _ in range(8)]
         Fs += [np.diag(s) for s in ([0.5, 0.5], [3.0, 3.0], [1.0, 1.0], [1.0, 0.0],
                                     [0.0, 0.0])]
         q = sphere_quadrature(2, 16)
-        s = LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
+        grid = (9, 6, 2.0, 16, 1)
+        set_laminate_grid(monkeypatch, *grid)
         below = 0
         for F in Fs:
             tilde = density_tilde(F, phi, m, q)
-            want = full_grid_laminate(F, phi, m, q, s)
-            got = density_laminate_upper(F, phi, m, q, s)
+            want = full_grid_laminate(F, phi, m, q, *grid)
+            got = density_laminate_upper(F, phi, m, q)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
             below += want < tilde
         assert below >= 6  # the search is not merely capped at tilde
@@ -319,29 +333,31 @@ class TestLaminateSharedShears:
     per-candidate reference."""
 
     @staticmethod
-    def check(phi, m, search):
+    def check(phi, m, grid):
+        # ``grid`` is the search's grid, given to the reference as numbers
         rng = np.random.default_rng(31)
         q = sphere_quadrature(2, 16)
         for _ in range(4):
             F = (rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.4, 1.4, 2)))
                  @ rot(rng.uniform(0, 7)))
             tilde = density_tilde(F, phi, m, q)
-            want = full_grid_laminate(F, phi, m, q, search)
-            got = density_laminate_upper(F, phi, m, q, search)
+            want = full_grid_laminate(F, phi, m, q, *grid)
+            got = density_laminate_upper(F, phi, m, q)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
     def test_default_search_matches_full_grid(self, phi, m):
-        self.check(phi, m, LaminateSearch())
+        self.check(phi, m, (17, 12, 2.0, 32, 2))
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
     @pytest.mark.parametrize("n_lambda", [3, 5])
     @pytest.mark.parametrize("n_mag", [1, 4])
-    def test_small_grids_match_full_grid(self, phi, m, n_lambda, n_mag):
-        self.check(phi, m, LaminateSearch(n_lambda=n_lambda, n_mag=n_mag, n_angle=8,
-                                          refine_rounds=1))
+    def test_small_grids_match_full_grid(self, phi, m, n_lambda, n_mag, monkeypatch):
+        grid = (n_lambda, n_mag, 2.0, 8, 1)
+        set_laminate_grid(monkeypatch, *grid)
+        self.check(phi, m, grid)
 
     def test_default_search_averages_each_shear_once(self, monkeypatch):
         rows = []
@@ -355,18 +371,18 @@ class TestLaminateSharedShears:
         F, q = rot(0.4) @ np.diag([1.3, 0.6]) @ rot(-0.8), sphere_quadrature(2, 8)
         # lower and tilde at F, then the 83 distinct products k j (k <= 15,
         # j <= 12) of each sign on 514 angle pairs; two averages per
-        # candidate took 2 * 15 * 12 * 514 = 185,040
-        density_laminate_upper(F, PHI2, 2.0, q, LaminateSearch(refine_rounds=0))
-        assert sum(rows) == 2 + 2 * 83 * 514
-        # each refinement round: at most 2 * 7 * 7 shears on 7 * 7 pairs
-        # (the first round's products can still coincide)
-        rows.clear()
+        # candidate took 2 * 15 * 12 * 514 = 185,040.  Each refinement round
+        # adds at most 2 * 7 * 7 shears on 7 * 7 pairs (the first round's
+        # products can still coincide)
         density_laminate_upper(F, PHI2, 2.0, q)
         assert 2 + 85_324 < sum(rows) <= 2 + 85_324 + 2 * 98 * 49
+        rows.clear()
+        set_laminate_grid(monkeypatch, 17, 12, 2.0, 32, 0)
+        density_laminate_upper(F, PHI2, 2.0, q)
+        assert sum(rows) == 2 + 2 * 83 * 514
 
 
-def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature,
-                             search: LaminateSearch | None = None) -> float:
+def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Max deviation of the bound sandwich under left rotation F -> U F."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) > 1e-12:
@@ -378,9 +394,8 @@ def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature
         abs(density_tilde(F, phi, m, q) - density_tilde(UF, phi, m, q)),
     ]
     if F.shape == (2, 2):
-        s = search or LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
-        devs.append(abs(density_laminate_upper(F, phi, m, q, s)
-                        - density_laminate_upper(UF, phi, m, q, s)))
+        devs.append(abs(density_laminate_upper(F, phi, m, q)
+                        - density_laminate_upper(UF, phi, m, q)))
     return float(max(devs))
 
 
@@ -396,16 +411,17 @@ class TestFrameIndifference:
             assert density_lower(G, PHI2, 2.0, Q2) == pytest.approx(
                 density_lower(F, PHI2, 2.0, Q2), abs=1e-12)
 
-    def test_laminate_invariant_to_rotations(self):
+    def test_laminate_invariant_to_rotations(self, monkeypatch):
         # the lamination search canonicalizes to diag(sigma), so rotations
         # change the answer only through singular-value rounding
         F = np.diag([2.5, 0.4])
-        s = LaminateSearch(n_lambda=9, n_mag=6, n_angle=16, refine_rounds=1)
-        v1 = density_laminate_upper(F, PHI2, 2.0, Q2, s)
-        v2 = density_laminate_upper(rot(0.9) @ F @ rot(-1.7), PHI2, 2.0, Q2, s)
+        set_laminate_grid(monkeypatch, 9, 6, 2.0, 16, 1)
+        v1 = density_laminate_upper(F, PHI2, 2.0, Q2)
+        v2 = density_laminate_upper(rot(0.9) @ F @ rot(-1.7), PHI2, 2.0, Q2)
         assert v1 == pytest.approx(v2, abs=1e-12)
 
-    def test_check_helper(self):
+    def test_check_helper(self, monkeypatch):
+        set_laminate_grid(monkeypatch, 9, 6, 2.0, 16, 1)
         dev = frame_indifference_check(np.diag([1.4, 0.8]), rot(0.77),
                                        PHI2, 2.0, Q2)
         assert dev < 1e-10
@@ -446,18 +462,9 @@ class TestLaminateUpper:
     def test_raises_when_below_lower_bound(self, monkeypatch):
         # the sandwich guard must survive python -O, so it is no assert
         monkeypatch.setattr(peribond.density, "density_lower", lambda *a, **k: 1e9)
-        s = LaminateSearch(n_lambda=5, n_mag=4, n_angle=8, refine_rounds=0)
+        set_laminate_grid(monkeypatch, 5, 4, 2.0, 8, 0)
         with pytest.raises(RuntimeError, match="below the lower bound"):
-            density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2, s)
-
-    @pytest.mark.parametrize("field,value", [
-        ("n_angle", 0), ("n_angle", 1), ("n_lambda", 2), ("n_mag", 0),
-        ("max_mag", 0.0), ("max_mag", -1.0), ("refine_rounds", -1)])
-    def test_search_rejects_degenerate_grid(self, field, value):
-        # each used to end in a bare IndexError or ZeroDivisionError, or to
-        # run on an empty or mirrored grid
-        with pytest.raises(ValueError, match=f"LaminateSearch.{field} must be"):
-            LaminateSearch(**{field: value})
+            density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2)
 
     def test_compute_bounds_evaluates_each_average_once(self, monkeypatch):
         # the laminate search takes compute_bounds' own lower and tilde

@@ -87,9 +87,8 @@ class TestVectorField:
     def test_affine_field(self):
         g = box_grid(2, 0.0, 1.0, 4)
         F = np.array([[1.0, 2.0], [0.0, -1.0]])
-        b = np.array([3.0, 4.0])
-        v = affine_field(g, F, b)
-        np.testing.assert_allclose(v.values, g.nodes() @ F.T + b)
+        v = affine_field(g, F)
+        np.testing.assert_allclose(v.values, g.nodes() @ F.T)
 
 
 class TestSphereQuadrature:

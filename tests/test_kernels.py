@@ -57,7 +57,7 @@ class TestMassNormalization:
 
 class TestEvaluation:
     def test_outside_support_is_zero(self):
-        k = box_kernel(2, radius=0.5)
+        k = make_rescaled(box_kernel(2), 0.5)
         np.testing.assert_array_equal(k(np.array([0.51, 1.0, 2.0])), 0.0)
 
     def test_origin_is_zero_by_convention(self):
