@@ -15,13 +15,13 @@ linearly in eps for a genuinely nonquadratic response, and two edge cases:
 
 import numpy as np
 
-from peribond.grids import field_from_function, unit_interval_grid
+from peribond.grids import box_grid, field_from_function
 from peribond.materials import catalog_potential
 from peribond.solver import linearization_experiment
 
 print(__doc__)
 
-grid = unit_interval_grid(96)
+grid = box_grid(1, 0.0, 1.0, 96)
 u = field_from_function(grid, lambda x: 0.1 * x**2)
 eps = [0.2, 0.1, 0.05, 0.025]
 

@@ -15,7 +15,7 @@ once, and the table tracks all of them:
 """
 
 from peribond.kernels import box_sequence
-from peribond.grids import unit_interval_grid
+from peribond.grids import box_grid
 from peribond.materials import power_potential
 from peribond.solver import localization_experiment
 
@@ -25,7 +25,7 @@ rows = localization_experiment(
     [[2.0]], power_potential(2.0), 1.0,
     box_sequence(1, delta_law=lambda n: 1.0 / n),
     n_values=[2, 4, 8, 16],
-    grid_law=lambda n: unit_interval_grid(max(64, 8 * n)),
+    grid_law=lambda n: box_grid(1, 0.0, 1.0, max(64, 8 * n)),
     collar_width=0.1)
 
 print(f"{'n':>4} {'horizon':>9} {'energy':>10} {'L^p dist':>10} "

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .grids import (Grid, SphereQuadrature, SubdomainMask, VectorField,
                     affine_field, box_grid, box_subdomain, field_from_function,
-                    full_mask, sphere_quadrature, unit_interval_grid)
+                    full_mask, sphere_quadrature)
 from .kernels import (Kernel, KernelSequence, box_kernel, box_sequence,
                       make_fractional, make_rescaled)
 from .materials import (CATALOG_TAGS, MicroPotential, Potential,

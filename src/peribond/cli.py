@@ -24,8 +24,8 @@ from .config import EXPERIMENTS, SCHEMA, ConfigError, parse_config, validate_con
 from .constructions import laminate_energy_decay, rigidity_reconstruct, sawtooth_energy
 from .density import compute_bounds, density_lower, zero_set_predicate
 from .energy import build_pairs, energy_Fn, gradient_Fn
-from .grids import (Grid, VectorField, box_grid, field_from_function, full_mask,
-                    sphere_quadrature)
+from .grids import (Grid, VectorField, affine_field, box_grid, field_from_function,
+                    full_mask, sphere_quadrature)
 from .kernels import box_kernel, box_sequence, make_fractional, make_rescaled
 from .materials import catalog_potential, power_potential, quartic_potential
 from .solver import (DirichletProblem, linearization_experiment, localization_experiment,
@@ -106,7 +106,7 @@ def _validated(cfg: dict) -> dict:
         if not full_mask(g, dom["collar"]).collar_fits():
             raise ConfigError("validation", [
                 f"the {exp} collar, {dom['collar']:g}, must be below half the node span "
-                f"of the grid with {g.n_cells[0]} cells per axis: set a smaller domain.collar"])
+                f"of the grid with {g.n_cells} cells per axis: set a smaller domain.collar"])
     return cfg
 
 
@@ -187,8 +187,7 @@ def _run_energy(cfg: dict):
     kernel = _kernel_from_config(cfg)
     phi = _potential_from_config(cfg)
     m = float(cfg["strain_m"])
-    F = np.eye(grid.dim)
-    v = VectorField(grid, grid.nodes() @ F.T)
+    v = affine_field(grid, np.eye(grid.dim))
     rep = energy_Fn(v, full_mask(grid), kernel, phi, m)
     summary = {"value": rep.value, "pair_count": rep.pair_count, "h": rep.h}
     contracts = {"identity_zero_energy": abs(rep.value) <= 1e-12}
@@ -203,7 +202,7 @@ def _run_minimize(cfg: dict):
     blk = cfg["minimize"]
     F = _matrix(blk["datum"])
     mask = full_mask(grid, cfg["domain"]["collar"])
-    g = VectorField(grid, grid.nodes() @ F.T)
+    g = affine_field(grid, F)
     prob = DirichletProblem(mask, g, kernel, phi, m, max_iters=blk["max_iters"])
     res = minimize_multistart(prob, seed=cfg["seed"])
     affine = energy_Fn(g, mask, kernel, phi, m).value
@@ -224,7 +223,7 @@ def _run_linearize(cfg: dict):
                              if v is not None})
     m = float(cfg["strain_m"])
     radius = blk["support_radius"]
-    radius = 4.0 * float(np.mean(grid.h)) if radius is None else float(radius)
+    radius = 4.0 * grid.h if radius is None else float(radius)
     if blk["field"] == "quadratic":
         u = field_from_function(grid, lambda x: x**2)
     else:

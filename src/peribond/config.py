@@ -95,7 +95,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
                  "resolution": Key("int", 64, ">= 8")},
     "minimize": {"datum": Key("matrix"),
                  "max_iters": Key("int", 50_000, ">= 1")},
-    # support_radius: four mean grid spacings when absent
+    # support_radius: four grid spacings when absent
     "linearize": {"eps": Key("nums", bounds="> 0"),
                   "field": Key("str", "quadratic", choices=("quadratic", "sinusoid")),
                   "support_radius": Key("num", None, "> 0")},

@@ -126,7 +126,7 @@ def laminate_field(spec: LaminateSpec, grid: Grid) -> VectorField:
     """
     if grid.dim != len(spec.lam):
         raise ValueError("lam must have one entry per axis")
-    if min(grid.n_cells) < 8 * spec.k:
+    if grid.n_cells < 8 * spec.k:
         raise ValueError(f"grid must resolve the oscillation: need >= {8 * spec.k} cells per axis")
     x = grid.nodes()
     vals = np.empty_like(x)

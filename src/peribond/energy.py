@@ -137,7 +137,7 @@ class PairSet:
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
         self.grid = grid
         h = grid.h
-        active = np.asarray(active, dtype=bool).reshape(grid.n_cells)
+        active = np.asarray(active, dtype=bool).reshape(grid.shape)
 
         offsets: list[_Offset] = []
         if active.any():
@@ -188,7 +188,7 @@ class PairSet:
     @cached_property
     def _index(self) -> np.ndarray:
         """The flat node index of every grid node, in the grid's shape."""
-        return np.arange(self.grid.n_nodes).reshape(self.grid.n_cells)
+        return np.arange(self.grid.n_nodes).reshape(self.grid.shape)
 
     def _nodes(self, o: _Offset) -> tuple[np.ndarray, np.ndarray]:
         """Flat node indices of one offset's bond tails and heads."""
@@ -235,7 +235,7 @@ def _bond_runs(pairs: PairSet, values: np.ndarray, ws: _Workspace | None = None
     reduction over components a sum of contiguous rows."""
     d = values.shape[1]
     columns = np.ascontiguousarray(values.T)
-    shaped = columns.reshape(d, *pairs.grid.n_cells)
+    shaped = columns.reshape(d, *pairs.grid.shape)
     for k, run in enumerate(pairs._runs):
         dv = np.empty((d, run.n)) if ws is None else ws.dv[:d * run.n].reshape(d, run.n)
         if pairs._incidence is not None:  # then this is the only run
@@ -253,7 +253,7 @@ def _bond_runs(pairs: PairSet, values: np.ndarray, ws: _Workspace | None = None
 
 def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> None:
     """Add a run's component-major (d, n) bond block to the nodal block
-    ``out`` of shape (d, *n_cells): plus at each bond's head, minus at its
+    ``out`` of shape (d, *grid.shape): plus at each bond's head, minus at its
     tail, in offset-major, node-minor order."""
     if pairs._incidence is not None:
         for col, add in zip(out.reshape(len(bonds), -1), bonds):
@@ -273,10 +273,6 @@ def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> N
 def _norm(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Column norms of a component-major (d, n) block."""
     return np.sqrt(np.einsum("kp,kp->p", a, a, out=out), out=out)
-
-
-def _mean_h(grid: Grid) -> float:
-    return float(np.mean(grid.h))
 
 
 def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -299,7 +295,7 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
         pairs = build_pairs(g, A, kernel.support_radius)
     w2 = 2.0 * g.cell_volume**2
     total = 0.0
-    out = np.zeros((g.dim, *g.n_cells)) if gradient else None
+    out = np.zeros((g.dim, *g.shape)) if gradient else None
     k = -1  # enumerate() would hold each run's arrays into the next run
     for run, dv, r in _bond_runs(pairs, v.values, ws):
         n, k = run.n, k + 1
@@ -335,7 +331,7 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:
         return None, grad
-    return EnergyReport(w2 * total, 2 * len(pairs), _mean_h(g)), grad
+    return EnergyReport(w2 * total, 2 * len(pairs), g.h), grad
 
 
 def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
@@ -421,7 +417,7 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
                                           eps_list=(eps,))
     if isinstance(value, StrainDomainError):
         raise value
-    return EnergyReport(float(value), 2 * len(pairs), _mean_h(u.grid))
+    return EnergyReport(float(value), 2 * len(pairs), u.grid.h)
 
 
 def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray],
@@ -431,7 +427,7 @@ def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray],
     over ``pairs`` or else the bonds within ``support_radius`` (one of the two
     is required)."""
     pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
-    return EnergyReport(float(0.5 * double), 2 * len(pairs), _mean_h(u.grid))
+    return EnergyReport(float(0.5 * double), 2 * len(pairs), u.grid.h)
 
 
 def seminorm_W(v: VectorField, kernel: Kernel, p: float,

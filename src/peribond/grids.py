@@ -1,12 +1,13 @@
 """Cell-centered grids, subdomain masks, vector fields and sphere quadrature.
 
-The domain is a box in R^d (d = 1, 2, 3) discretized by uniform cells; nodes
+The domain is a cube in R^d (d = 1, 2, 3) discretized by uniform cells; nodes
 sit at cell centers, so midpoint quadrature of double integrals never
 evaluates a kernel on the diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,81 +22,79 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered Cartesian grid on a box.
+    """Uniform cell-centered Cartesian grid on the cube (origin, origin + extent)^dim.
 
     Node positions are ``origin + (i + 1/2) * h`` for each multi-index ``i``,
     flattened in C order.
     """
 
     dim: int
-    origin: tuple[float, ...]
-    extent: tuple[float, ...]
-    n_cells: tuple[int, ...]
+    origin: float
+    extent: float
+    n_cells: int
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        for name in ("origin", "extent", "n_cells"):
-            if len(getattr(self, name)) != self.dim:
-                raise ValueError(f"{name} must have length {self.dim}")
-        if any(n < 2 for n in self.n_cells):
+        if self.n_cells < 2:
             raise ValueError("need at least 2 cells per axis")
-        if any(e <= 0 for e in self.extent):
+        if self.extent <= 0:
             raise ValueError("extent must be positive")
 
     @property
-    def h(self) -> np.ndarray:
-        """Spacing per axis."""
-        return np.asarray(self.extent) / np.asarray(self.n_cells)
+    def h(self) -> float:
+        """Spacing along every axis."""
+        return self.extent / self.n_cells
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Node counts per axis: the shape of nodal data in C order."""
+        return (self.n_cells,) * self.dim
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.n_cells))
+        return self.n_cells ** self.dim
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.h))
+        # h * h * h left to right, which h ** 3 does not always round to
+        return math.prod((self.h,) * self.dim)
 
     def nodes(self) -> np.ndarray:
         """All node coordinates, shape (n_nodes, dim), C-ordered."""
-        axes = [
-            o + (np.arange(n) + 0.5) * hh
-            for o, n, hh in zip(self.origin, self.n_cells, self.h)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        axis = self.origin + (np.arange(self.n_cells) + 0.5) * self.h
+        mesh = np.meshgrid(*(axis,) * self.dim, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def nearest_node(self, x) -> int | np.ndarray:
         """Flat index of the node closest to point ``x``.
 
-        An (N, d) stack of points gives an array of N indices.
+        An (N, d) stack of points gives an array of N indices; on a 1D grid a
+        scalar is a point.
         """
         x = np.asarray(x, dtype=float)
+        if (x.shape[-1:] or (1,)) != (self.dim,):
+            raise ValueError(f"points must have {self.dim} coordinates, got shape {x.shape}")
         points = x.reshape(-1, self.dim)
-        idx = np.floor((points - np.asarray(self.origin)) / self.h).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.n_cells) - 1)
-        flat = np.ravel_multi_index(tuple(idx.T), self.n_cells)
+        idx = np.floor((points - self.origin) / self.h).astype(int)
+        idx = np.clip(idx, 0, self.n_cells - 1)
+        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
         return int(flat[0]) if x.ndim <= 1 else flat
-
-
-def unit_interval_grid(n_cells: int) -> Grid:
-    """Convenience: (0, 1) with ``n_cells`` cells."""
-    return Grid(1, (0.0,), (1.0,), (n_cells,))
 
 
 def box_grid(dim: int, lo: float, hi: float, n_cells: int) -> Grid:
     """Cube (lo, hi)^dim with ``n_cells`` cells per axis."""
-    return Grid(dim, (lo,) * dim, (hi - lo,) * dim, (n_cells,) * dim)
+    return Grid(dim, lo, hi - lo, n_cells)
 
 
 @dataclass(frozen=True)
 class SubdomainMask:
-    """Active-node mask representing an open subdomain A of the grid's box.
+    """Active-node mask representing an open subdomain A of the grid's cube.
 
     The collar is the set of active nodes within ``collar_width`` of the
     complement; node-to-node Euclidean distance is used, which lower-bounds
     the continuum distance.  When every node is active the distance to the
-    domain boundary is used instead, so a Dirichlet collar along the box
+    domain boundary is used instead, so a Dirichlet collar along the cube's
     boundary is still expressible.
     """
 
@@ -112,16 +111,14 @@ class SubdomainMask:
     def distance_to_complement(self) -> np.ndarray:
         """Per-node Euclidean distance to the nearest inactive node.
 
-        If the mask is all-active, falls back to the distance to the box
+        If the mask is all-active, falls back to the distance to the cube's
         boundary.
         """
         g = self.grid
-        shaped = self.active.reshape(g.n_cells)
+        shaped = self.active.reshape(g.shape)
         if shaped.all():
             x = g.nodes()
-            lo = np.asarray(g.origin)
-            hi = lo + np.asarray(g.extent)
-            return np.minimum(x - lo, hi - x).min(axis=1)
+            return np.minimum(x - g.origin, (g.origin + g.extent) - x).min(axis=1)
         from scipy import ndimage  # here, not at the top: it loads scipy.special
         return ndimage.distance_transform_edt(shaped, sampling=g.h).ravel()
 
@@ -129,11 +126,12 @@ class SubdomainMask:
         """Whether collar_width is below half the diameter of the active nodes
         (never if there are none).  The diameter is their bounding box's, its
         corners placed with Grid.nodes' arithmetic, so no node array is built."""
-        g, shaped = self.grid, self.active.reshape(self.grid.n_cells)
+        g, shaped = self.grid, self.active.reshape(self.grid.shape)
         hits = [np.flatnonzero(shaped.any(axis=tuple(set(range(g.dim)) - {a})))
                 for a in range(g.dim)]
-        span = [(o + (k[-1] + 0.5) * hh) - (o + (k[0] + 0.5) * hh) if k.size else np.nan
-                for o, hh, k in zip(g.origin, g.h, hits)]
+        o, h = g.origin, g.h
+        span = [(o + (k[-1] + 0.5) * h) - (o + (k[0] + 0.5) * h) if k.size else np.nan
+                for k in hits]
         return bool(self.collar_width < 0.5 * float(np.linalg.norm(span)))
 
     def collar(self) -> np.ndarray:
@@ -149,8 +147,8 @@ def full_mask(grid: Grid, collar_width: float = 0.0) -> SubdomainMask:
 def box_subdomain(grid: Grid, margin: float, collar_width: float = 0.0) -> SubdomainMask:
     """Sub-box of the grid's domain obtained by shrinking each face by ``margin``."""
     x = grid.nodes()
-    lo = np.asarray(grid.origin) + margin
-    hi = np.asarray(grid.origin) + np.asarray(grid.extent) - margin
+    lo = grid.origin + margin
+    hi = grid.origin + grid.extent - margin
     active = np.all((x > lo) & (x < hi), axis=1)
     return SubdomainMask(grid, active, collar_width)
 

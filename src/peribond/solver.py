@@ -20,7 +20,8 @@ from .constructions import laminate_profile
 from .density import density_lower_batch, density_tilde_batch
 from .energy import (PairSet, StrainDomainError, _Fn_pass, _linearized_pass, _Workspace,
                      build_pairs)
-from .grids import Grid, SubdomainMask, VectorField, full_mask, sphere_quadrature
+from .grids import (Grid, SubdomainMask, VectorField, affine_field, field_from_function,
+                    full_mask, sphere_quadrature)
 from .kernels import Kernel, KernelSequence
 from .materials import MicroPotential, Potential
 
@@ -172,10 +173,9 @@ def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:
     and a laminate-type zigzag perturbation."""
     grid = prob.mask.grid
     x = grid.nodes()
-    lo = np.asarray(grid.origin)
-    span = np.asarray(grid.extent)
+    lo, span = grid.origin, grid.extent
     rng = np.random.Generator(np.random.Philox(seed))
-    amp = 0.05 * float(np.min(span))
+    amp = 0.05 * span
 
     sin_pert = prob.g.values + amp * np.stack(
         [np.prod(np.sin(np.pi * (x - lo) / span), axis=1)
@@ -184,7 +184,7 @@ def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:
     k = 4
     zig = prob.g.values.copy()
     for i in range(grid.dim):
-        ti = (x[:, i] - lo[i]) / span[i]
+        ti = (x[:, i] - lo) / span
         zig[:, i] = zig[:, i] + (amp / k) * (laminate_profile(0.5, k * ti) - 0.09375)
     return [prob.g, VectorField(grid, sin_pert), VectorField(grid, zig)]
 
@@ -266,10 +266,10 @@ def _discrete_gradients(v: VectorField) -> np.ndarray:
     """Per-node gradient matrices by central differences, shape (N, d, d)."""
     g = v.grid
     d = g.dim
-    vals = v.values.reshape(*g.n_cells, d)
+    vals = v.values.reshape(*g.shape, d)
     out = np.empty((g.n_nodes, d, d))
     for c in range(d):
-        gr = np.gradient(vals[..., c], *g.h, axis=tuple(range(d)), edge_order=1)
+        gr = np.gradient(vals[..., c], g.h, axis=tuple(range(d)), edge_order=1)
         gr = [np.asarray(x) for x in np.atleast_1d(gr)] if d > 1 else [np.asarray(gr)]
         for a in range(d):
             out[:, c, a] = gr[a].ravel()
@@ -298,11 +298,9 @@ def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.nda
         grid = grid_law(n)
         kernel = seq[n]
         mask = full_mask(grid, collar_width)
-        x = grid.nodes()
-        gv = np.asarray(g_datum(x) if callable(g_datum) else x @ np.atleast_2d(g_datum).T)
-        if gv.ndim == 1:
-            gv = gv[:, None]
-        prob = DirichletProblem(mask, VectorField(grid, gv), kernel, phi, m)
+        datum = (field_from_function(grid, g_datum) if callable(g_datum)
+                 else affine_field(grid, g_datum))
+        prob = DirichletProblem(mask, datum, kernel, phi, m)
         res = minimize_multistart(prob, seed=seed)
         vstar = res.v
 

@@ -24,7 +24,7 @@ from peribond.density import (density_laminate_upper, density_lower, density_til
                               zero_set_predicate)
 from peribond.energy import build_pairs, energy_Fn, gradient_Fn
 from peribond.grids import (VectorField, box_grid, field_from_function,
-                            full_mask, sphere_quadrature, unit_interval_grid)
+                            full_mask, sphere_quadrature)
 from peribond.kernels import box_kernel, box_sequence, make_fractional, make_rescaled
 from peribond.materials import catalog_potential, power_potential, quartic_potential
 from peribond.solver import linearization_experiment
@@ -170,7 +170,7 @@ _RATE_EPS = [0.2, 0.1, 0.05, 0.025]
 
 def _rate_field(d):
     if d == 1:
-        g = unit_interval_grid(64)
+        g = box_grid(1, 0.0, 1.0, 64)
         return field_from_function(g, lambda x: 0.1 * x**2), 0.2
     g = box_grid(2, 0.0, 1.0, 16)
     return field_from_function(
@@ -223,7 +223,7 @@ def test_criterion_05_collinear_quadratic_case_exact():
 def test_criterion_06_analytic_gradient_matches_finite_differences():
     rng = np.random.Generator(np.random.Philox(6))
     for d in (1, 2):
-        g = unit_interval_grid(24) if d == 1 else box_grid(2, 0.0, 1.0, 8)
+        g = box_grid(1, 0.0, 1.0, 24) if d == 1 else box_grid(2, 0.0, 1.0, 8)
         kernel = make_rescaled(box_kernel(d), 0.3)
         mask = full_mask(g)
         pairs = build_pairs(g, mask, kernel.support_radius)

@@ -198,7 +198,7 @@ class TestSchema:
         to round-off, the grid gets that many cells, not one more."""
         cfg = validate_config(with_keys(GOOD_LOCALIZE, "localize", delta_law=law,
                                          n_values=[n]))
-        assert peribond.cli._localize_grid(cfg, n).n_cells == (cells,)
+        assert peribond.cli._localize_grid(cfg, n).n_cells == cells
 
     def test_null_h_runs(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", with_keys(GOOD_SAWTOOTH, "sawtooth", h=None))

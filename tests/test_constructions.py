@@ -82,7 +82,7 @@ class TestLaminate:
         v = laminate_field(spec, g)
         vals = v.values.reshape(64, 64, 2)
         for i in range(2):
-            d = np.diff(vals[..., i], axis=i) / g.h[i]
+            d = np.diff(vals[..., i], axis=i) / g.h
             frac_unit = np.mean(np.isclose(np.abs(d), 1.0, atol=1e-9))
             assert frac_unit > 0.9  # breakpoint cells excluded
 
@@ -193,9 +193,9 @@ def energy_decay_rigidity(v_seq: Sequence[VectorField], kernel: Kernel,
     if np.any(np.diff(energies) > 1e-12) or energies[-1] > energies[0] * 0.5 + 1e-12:
         return DecayRigidityVerdict("inconclusive", energies, l1, None)
     if R is None:
-        R = 0.25 * float(np.min(grid.extent))
+        R = 0.25 * grid.extent
     rec = rigidity_reconstruct(v_seq[-1], R)
-    h = float(np.mean(grid.h))
+    h = grid.h
     tol = tol if tol is not None else max(100.0 * h, 1e-6)
     verdict = "rigid" if (rec.orthogonality_defect <= tol and rec.residual <= tol) else "not-rigid"
     return DecayRigidityVerdict(verdict, energies, l1, rec)
@@ -249,10 +249,10 @@ def piola_rigidity_check(v: VectorField, exclude: np.ndarray | None = None) -> P
     """
     g = v.grid
     d = g.dim
-    shape = g.n_cells
+    shape = g.shape
     vals = v.values.reshape(*shape, d)
     h = g.h
-    grads = np.gradient(vals, *h, axis=tuple(range(d)), edge_order=2)
+    grads = np.gradient(vals, h, axis=tuple(range(d)), edge_order=2)
     grads = [np.asarray(gr) for gr in np.atleast_1d(grads)] if d > 1 else [np.asarray(grads)]
     # metric defect
     G = np.zeros(shape + (d, d))
@@ -265,7 +265,7 @@ def piola_rigidity_check(v: VectorField, exclude: np.ndarray | None = None) -> P
     second = np.zeros(shape)
     lap = np.zeros(shape + (d,))
     for a in range(d):
-        second_a = np.gradient(grads[a], *h, axis=tuple(range(d)), edge_order=2)
+        second_a = np.gradient(grads[a], h, axis=tuple(range(d)), edge_order=2)
         second_a = [np.asarray(sr) for sr in np.atleast_1d(second_a)] if d > 1 else [np.asarray(second_a)]
         for b_ in range(d):
             second = np.maximum(second, np.max(np.abs(second_a[b_]), axis=-1))
@@ -305,7 +305,7 @@ class TestPiola:
         v = laminate_field(LaminateSpec((0.5, 1.0), k=1), g)
         x = g.nodes()[:, 0].reshape(64, 64)
         # exclude a band around the single interior breakpoint x = 0.75
-        exclude = np.abs(x - 0.75) < 3.5 * g.h[0]
+        exclude = np.abs(x - 0.75) < 3.5 * g.h
         rep = piola_rigidity_check(v, exclude=exclude)
         assert rep.max_second_derivative < 1e-9
         full = piola_rigidity_check(v)

@@ -9,8 +9,7 @@ from peribond.energy import (PairSet, StrainDomainError, _Fn_pass, _Workspace, b
                              energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
                              gradient_Fn, seminorm_W)
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
-                            box_subdomain, field_from_function, full_mask,
-                            unit_interval_grid)
+                            box_subdomain, field_from_function, full_mask)
 from peribond.kernels import box_kernel, make_rescaled
 from peribond.materials import catalog_potential, power_potential, strain
 from peribond.solver import linearization_experiment
@@ -85,7 +84,7 @@ class PerPairReference:
     scattered with ``np.add.at``."""
 
     def __init__(self, grid, active, radius):
-        multi = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.n_cells), axis=-1)
+        multi = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.shape), axis=-1)
         bonds = sorted(((i, j) for i, j in brute_force_pairs(grid, radius)
                         if active[i] and active[j]),
                        key=lambda b: (tuple(multi[b[1]] - multi[b[0]]), b[0]))
@@ -147,12 +146,12 @@ class TestStencilEquivalence:
         if kind == "full":
             return full_mask(g), radius
         if kind == "box":
-            return box_subdomain(g, 1.5 * g.h[0], collar_width=radius), radius
+            return box_subdomain(g, 1.5 * g.h, collar_width=radius), radius
         if kind == "notched":  # an L-shape in 2D/3D, two intervals in 1D
             cut = (x[:, 0] > 0.4) & (x[:, 0] < 0.6) if g.dim == 1 else \
                 (x[:, 0] > 0.5) & (x[:, -1] > 0.5)
             return SubdomainMask(g, ~cut), radius
-        return full_mask(g), 0.9 * g.h[0]  # no bonds at all
+        return full_mask(g), 0.9 * g.h  # no bonds at all
 
     def _close(self, got, ref):
         assert abs(got - ref) <= self.TOL * abs(ref)
@@ -239,7 +238,7 @@ class TestFusedPass:
         np.testing.assert_array_equal(grad.values, sep)
 
     def test_rejects_nonsmooth_profile_but_energy_runs(self):
-        g = unit_interval_grid(8)
+        g = box_grid(1, 0.0, 1.0, 8)
         a = np.linspace(0.0, 2.0, 10)
         phi = tabulated_potential(a, a.copy(), p=2.0, C0=0.0, C1=1.0)
         v = affine_field(g, np.array([[1.5]]))
@@ -274,7 +273,7 @@ class TestPairSet:
         np.testing.assert_array_equal(a.j, b.j)
 
     def test_mask_restriction(self):
-        g = unit_interval_grid(10)
+        g = box_grid(1, 0.0, 1.0, 10)
         active = np.zeros(10, dtype=bool)
         active[2:7] = True
         pairs = ListedPairs(g, active, 0.25)
@@ -319,11 +318,19 @@ class TestEnergyFn:
                 for _ in range(5)}
         assert len(vals) == 1
 
+    def test_reports_the_exact_spacing_in_3d(self):
+        # the spacing itself: a mean of three equal spacings reads
+        # 0.10000000000000002 here
+        g = box_grid(3, 0.0, 1.0, 10)
+        rep = energy_Fn(affine_field(g, np.eye(3)), full_mask(g),
+                        make_rescaled(box_kernel(3), 0.15), power_potential(2.0), 1.0)
+        assert rep.h == g.h == 0.1
+
     def test_1d_affine_stretch_value(self):
         # rho_delta box on (0,1), v = 2x, Phi = t^2, m = 1: the continuum
         # value is Phi(1) * (1 - delta/2) after the boundary deficit
         delta = 0.1
-        g = unit_interval_grid(200)
+        g = box_grid(1, 0.0, 1.0, 200)
         v = affine_field(g, np.array([[2.0]]))
         rep = energy_Fn(v, full_mask(g), make_rescaled(box_kernel(1), delta),
                         power_potential(2.0), 1.0)
@@ -355,7 +362,7 @@ class TestGradient:
                 assert grad[k, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
     def test_rejects_nonsmooth_profile(self):
-        g = unit_interval_grid(8)
+        g = box_grid(1, 0.0, 1.0, 8)
         a = np.linspace(0.0, 2.0, 10)
         phi = tabulated_potential(a, a.copy(), p=2.0, C0=0.0, C1=1.0)
         assert not phi.smooth_at_zero
@@ -364,7 +371,7 @@ class TestGradient:
                         make_rescaled(box_kernel(1), 0.25), phi)
 
     def test_zero_at_minimum(self):
-        g = unit_interval_grid(16)
+        g = box_grid(1, 0.0, 1.0, 16)
         v = affine_field(g, np.array([[1.0]]))
         grad = gradient_Fn(v, full_mask(g), make_rescaled(box_kernel(1), 0.2),
                            power_potential(2.0)).values
@@ -376,7 +383,7 @@ class TestKernelReuse:
         # one pair set, fifty kernels built and dropped in turn: a value
         # cached per kernel object would be handed to a later kernel that
         # reuses the freed object's identity
-        g = unit_interval_grid(200)
+        g = box_grid(1, 0.0, 1.0, 200)
         mask = full_mask(g)
         pairs = build_pairs(g, mask, 0.3)
         v = field_from_function(g, lambda x: 1.3 * x**2)
@@ -394,7 +401,7 @@ class TestKernelReuse:
 class TestEEps:
     def test_quadratic_1d_exact(self):
         # quadratic Psi and collinear geometry: E_eps = E_0 identically
-        g = unit_interval_grid(64)
+        g = box_grid(1, 0.0, 1.0, 64)
         w = catalog_potential("mbm_smooth", c=2.0)
         u = field_from_function(g, lambda x: x**2)
         pairs = build_pairs(g, None, 0.2)
@@ -405,7 +412,7 @@ class TestEEps:
 
     def test_strain_domain_error(self):
         # eps large enough to collapse a bond: v(y) = v(x) somewhere
-        g = unit_interval_grid(32)
+        g = box_grid(1, 0.0, 1.0, 32)
         u = field_from_function(g, lambda x: -x)  # i + eps*u collapses at eps=1
         w = catalog_potential("quartic")
         with pytest.raises(StrainDomainError):
@@ -500,7 +507,7 @@ class TestLinearizationPass:
         def no_bond_work(*args, **kwargs):
             raise AssertionError("bond work started")
 
-        g = unit_interval_grid(16)
+        g = box_grid(1, 0.0, 1.0, 16)
         u = field_from_function(g, lambda x: x**2)
         w = catalog_potential("quartic")
         monkeypatch.setattr(peribond.energy, "build_pairs", no_bond_work)
@@ -514,7 +521,7 @@ class TestLinearizationPass:
         # without pairs or a support radius there is no horizon to default to,
         # not even a kernel's own; the unit radius would take every pair of
         # the unit interval
-        g = unit_interval_grid(16)
+        g = box_grid(1, 0.0, 1.0, 16)
         u = field_from_function(g, lambda x: x**2)
         w = catalog_potential("quartic")
         with pytest.raises(ValueError, match="support_radius"):
@@ -530,7 +537,7 @@ class TestSeminorms:
         # [v]_W^p with v = x: stretches identically 1, so the value is the
         # kernel mass over the restricted double integral
         delta = 0.05
-        g = unit_interval_grid(400)
+        g = box_grid(1, 0.0, 1.0, 400)
         v = affine_field(g, np.array([[1.0]]))
         val = seminorm_W(v, make_rescaled(box_kernel(1), delta), p=2.0)
         assert val == pytest.approx(1.0 - delta / 2, rel=1e-2)
@@ -555,7 +562,7 @@ class TestIncidencePath:
     def _mask(g, kind, radius):
         if kind == "full":
             return full_mask(g, radius)
-        box = box_subdomain(g, 1.5 * g.h[0], collar_width=radius)
+        box = box_subdomain(g, 1.5 * g.h, collar_width=radius)
         active = box.active.copy()
         inner = np.flatnonzero(active)
         active[inner[len(inner) // 2]] = False  # a hole: offsets get `keep`

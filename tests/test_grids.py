@@ -6,26 +6,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peribond.grids import (Grid, VectorField, affine_field, box_grid,
-                            box_subdomain, full_mask, sphere_quadrature,
-                            unit_interval_grid)
+                            box_subdomain, full_mask, sphere_quadrature)
 
 
 class TestGrid:
     def test_nodes_are_cell_centers(self):
-        g = unit_interval_grid(4)
+        g = box_grid(1, 0.0, 1.0, 4)
         np.testing.assert_allclose(g.nodes()[:, 0], [0.125, 0.375, 0.625, 0.875])
 
     def test_c_ordering_2d(self):
-        g = Grid(2, (0.0, 0.0), (1.0, 2.0), (2, 3))
+        g = Grid(2, 0.0, 2.0, 3)
         x = g.nodes()
+        assert g.shape == (3, 3) and x.shape == (g.n_nodes, 2) == (9, 2)
         # last axis varies fastest
-        np.testing.assert_allclose(x[0], [0.25, 1.0 / 3.0])
-        np.testing.assert_allclose(x[1], [0.25, 1.0])
-        np.testing.assert_allclose(x[3], [0.75, 1.0 / 3.0])
+        np.testing.assert_allclose(x[0], [1.0 / 3.0, 1.0 / 3.0])
+        np.testing.assert_allclose(x[1], [1.0 / 3.0, 1.0])
+        np.testing.assert_allclose(x[3], [1.0, 1.0 / 3.0])
 
     def test_cell_volume(self):
-        g = Grid(2, (0.0, 0.0), (1.0, 2.0), (4, 8))
+        g = Grid(2, 0.0, 2.0, 8)
         assert g.cell_volume == pytest.approx(0.0625)
+
+    @pytest.mark.parametrize("n", [3, 6, 18])
+    def test_cell_volume_multiplies_left_to_right(self, n):
+        # the per-axis product h * h * h, which h ** 3 rounds differently here
+        g = box_grid(3, 0.0, 1.0, n)
+        h = g.h
+        assert h == 1.0 / n
+        assert g.cell_volume == h * h * h != h ** 3
 
     def test_nearest_node_roundtrip(self):
         g = box_grid(2, -1.0, 1.0, 8)
@@ -41,18 +49,24 @@ class TestGrid:
         assert isinstance(got, np.ndarray) and got.shape == (40,)
         assert got.tolist() == [g.nearest_node(p) for p in pts]
 
+    @pytest.mark.parametrize("x", [[0.1, 0.2, 0.9, 0.9], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                                   [0.5]])
+    def test_nearest_node_rejects_wrong_dimension(self, x):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            box_grid(2, 0.0, 1.0, 4).nearest_node(x)
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            Grid(4, (0.0,) * 4, (1.0,) * 4, (4,) * 4)
+            Grid(4, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            Grid(1, (0.0,), (1.0,), (1,))
+            Grid(1, 0.0, 1.0, 1)
         with pytest.raises(ValueError):
-            Grid(1, (0.0,), (-1.0,), (4,))
+            Grid(1, 0.0, -1.0, 4)
 
 
 class TestMask:
     def test_full_mask_collar_uses_box_boundary(self):
-        g = unit_interval_grid(10)
+        g = box_grid(1, 0.0, 1.0, 10)
         m = full_mask(g, collar_width=0.2)
         collar = m.collar()
         x = g.nodes()[:, 0]
@@ -64,7 +78,7 @@ class TestMask:
         assert m.active.sum() * g.cell_volume == pytest.approx(0.36)
 
     def test_collar_of_subdomain(self):
-        g = unit_interval_grid(20)
+        g = box_grid(1, 0.0, 1.0, 20)
         m = box_subdomain(g, margin=0.25, collar_width=0.1)
         collar = m.collar()
         # one active node per inner edge sits strictly closer than 0.1 to the
@@ -75,12 +89,12 @@ class TestMask:
 
 class TestVectorField:
     def test_rejects_nonfinite(self):
-        g = unit_interval_grid(4)
+        g = box_grid(1, 0.0, 1.0, 4)
         with pytest.raises(ValueError):
             VectorField(g, np.array([0.0, 1.0, np.inf, 2.0]))
 
     def test_values_read_only(self):
-        v = affine_field(unit_interval_grid(4), np.array([[2.0]]))
+        v = affine_field(box_grid(1, 0.0, 1.0, 4), np.array([[2.0]]))
         with pytest.raises(ValueError):
             v.values[0] = 7.0
 
@@ -127,7 +141,7 @@ class TestSphereQuadrature:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10_000))
 def test_nearest_node_is_nearest(n, k):
-    g = unit_interval_grid(n)
+    g = box_grid(1, 0.0, 1.0, n)
     rng = np.random.default_rng(k)
     p = rng.uniform(-0.2, 1.2)
     i = g.nearest_node(p)

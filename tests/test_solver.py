@@ -7,7 +7,7 @@ import pytest
 import peribond.solver
 from peribond.energy import energy_Fn, gradient_Fn
 from peribond.grids import (Grid, SubdomainMask, affine_field, box_grid,
-                            field_from_function, full_mask, unit_interval_grid)
+                            field_from_function, full_mask)
 from peribond.kernels import box_kernel, box_sequence, make_rescaled
 from peribond.materials import catalog_potential, power_potential
 from peribond.solver import (DirichletProblem, linearization_experiment,
@@ -18,7 +18,7 @@ PHI = power_potential(2.0)
 
 
 def problem_1d(slope, n=64, delta=0.1, collar=0.15, m=1.0, phi=PHI):
-    g = unit_interval_grid(n)
+    g = box_grid(1, 0.0, 1.0, n)
     mask = full_mask(g, collar_width=collar)
     datum = affine_field(g, np.array([[slope]]))
     kernel = make_rescaled(box_kernel(1), delta)
@@ -36,14 +36,14 @@ class TestDirichletProblem:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_collar_rule_on_irregular_masks(self, dim):
-        """On irregular masks over non-cubic grids a collar is accepted exactly
+        """On irregular masks over grids of random origin, extent and cell
+        count a collar is accepted exactly
         when it is below half the diameter of the active nodes, taken as
         0.5 * |max - min| of their coordinates: one float below, at and above."""
         rng = np.random.default_rng(dim)
         for _ in range(30):
-            grid = Grid(dim, tuple(float(o) for o in rng.uniform(-1.0, 1.0, dim)),
-                        tuple(float(e) for e in rng.uniform(0.1, 3.0, dim)),
-                        tuple(int(n) for n in rng.integers(2, 9, dim)))
+            grid = Grid(dim, float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.1, 3.0)),
+                        int(rng.integers(2, 9)))
             active = rng.random(grid.n_nodes) < rng.uniform(0.05, 0.9)
             active[rng.choice(grid.n_nodes, 2, replace=False)] = True
             x = grid.nodes()[active]
@@ -128,7 +128,7 @@ class TestMinimize:
 
 def wavy_problem_1d(**stop):
     """A non-affine datum, so the datum start is not a critical point."""
-    g = unit_interval_grid(48)
+    g = box_grid(1, 0.0, 1.0, 48)
     datum = field_from_function(g, lambda x: 1.2 * x + 0.05 * np.sin(2 * np.pi * x))
     return DirichletProblem(full_mask(g, collar_width=0.15), datum,
                             make_rescaled(box_kernel(1), 0.1), PHI, 1.0, **stop)
@@ -178,7 +178,7 @@ class TestStopReason:
 class TestLinearization:
     def test_quadratic_case_exact_at_all_eps(self):
         # 1D with a quadratic bond response: no linearization error at all
-        g = unit_interval_grid(64)
+        g = box_grid(1, 0.0, 1.0, 64)
         u = field_from_function(g, lambda x: x**2)
         w = catalog_potential("mbm_smooth", c=2.0)
         table = linearization_experiment(u, w, 1.0, [0.4, 0.2, 0.1, 0.05],
@@ -187,7 +187,7 @@ class TestLinearization:
 
     def test_quartic_case_first_order_rate(self):
         # asymmetric profile so the leading cubic error term does not cancel
-        g = unit_interval_grid(96)
+        g = box_grid(1, 0.0, 1.0, 96)
         u = field_from_function(g, lambda x: x**2)
         w = catalog_potential("quartic")
         table = linearization_experiment(u, w, 1.0, [0.2, 0.1, 0.05, 0.025],
@@ -197,7 +197,7 @@ class TestLinearization:
         assert table.slope == pytest.approx(1.0, abs=0.3)
 
     def test_domain_violation_flagged(self):
-        g = unit_interval_grid(32)
+        g = box_grid(1, 0.0, 1.0, 32)
         u = field_from_function(g, lambda x: -x)
         w = catalog_potential("quartic")
         table = linearization_experiment(u, w, 1.0, [1.0, 0.1],
@@ -212,7 +212,7 @@ class TestLocalization:
         # from below and stay inside the density-bound bracket
         rows = localization_experiment(
             np.array([[2.0]]), PHI, 1.0, box_sequence(1, delta_law=lambda n: 1.0 / n),
-            n_values=[2, 4, 8], grid_law=lambda n: unit_interval_grid(64),
+            n_values=[2, 4, 8], grid_law=lambda n: box_grid(1, 0.0, 1.0, 64),
             collar_width=0.1)
         es = [r.energy for r in rows]
         assert es[0] < es[1] < es[2] < 1.0
