@@ -220,11 +220,17 @@ def _check_cross(problems: list[str], cfg: dict) -> None:
                             f"= {dom['dim']}")
 
 
+def _no_constant(name: str):
+    raise ConfigError("parse", [f"config holds {name}, which is not a finite number"])
+
+
 def parse_config(path: str) -> dict:
-    """Parse a scenario file; raises ConfigError("parse", ...) on bad JSON."""
+    """Parse a scenario file; raises ConfigError("parse", ...) on bad JSON,
+    including the non-finite constants NaN, Infinity and -Infinity that
+    Python's json module would otherwise accept."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError("parse", [f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:

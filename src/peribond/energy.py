@@ -13,15 +13,19 @@ ways, chosen by the pair set's size, with bit-identical results.  A set of one
 run of offsets (see ``_RUN_BONDS``) multiplies by its signed incidence matrix
 D and by D^T; a larger set uses slice arithmetic and slice adds per offset.
 
-The F_n passes of one minimization share a ``_Workspace``: the per-bond
-lengths and kernel weights, and buffers for the bond block and every per-bond
-temporary.  At 18,488 bonds each temporary is 148 KB, over glibc's 128 KiB
-mmap threshold, so allocating ~20 a pass meant page-faulting them in anew.
+Per-offset values (|xi| and rho(|xi|)) are per-bond arrays in a set of one
+run and in a minimization's ``_Workspace``, which holds them; a larger set,
+and every linearized pass, applies each as a scalar to its offset's segment
+of bonds.  Every pass keeps its per-bond temporaries in scratch rows sized
+to the largest run, allocated once per call or once per minimization: at
+18,488 bonds each is 148 KB, over glibc's 128 KiB mmap threshold, so
+allocating ~20 a pass meant page-faulting them in anew.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -30,7 +34,7 @@ import numpy as np
 
 from .grids import Grid, SubdomainMask, VectorField
 from .kernels import Kernel
-from .materials import MicroPotential, Potential, _strain, strain
+from .materials import MicroPotential, Potential, _strain
 
 #: Consecutive offsets are processed together until they hold this many
 #: bonds.  One offset at a time costs a profile and potential call per offset,
@@ -42,6 +46,12 @@ from .materials import MicroPotential, Potential, _strain, strain
 #: matrices store 52 bytes a bond.
 _RUN_BONDS = 1 << 15
 _ALL = slice(None)
+
+#: A bond with q = t^2 - 1 <= _VANISHED has a vanishing stretch t.  Where
+#: the deformed bond xi + eps (u(x + xi) - u(x)) rounds to zero, the computed
+#: q lies within 10 units of 2^-53 of -1, on either side (measured on 10^5
+#: such bonds, d = 1, 2, 3); a t^2 below 32 units cannot be told from zero.
+_VANISHED = -1.0 + 2.0**-48
 
 
 class StrainDomainError(ValueError):
@@ -87,17 +97,16 @@ class _Run:
         self.counts = np.array([o.n for o in offsets])
         self.n = int(self.counts.sum())
         self.r = np.array([o.r for o in offsets])
-        self.xi = np.array([o.xi for o in offsets]).T
 
     def per_bond(self, per_offset: np.ndarray) -> np.ndarray:
         """Repeat one value (or column) per offset over the offset's bonds."""
         return np.repeat(per_offset, self.counts, axis=-1)
 
     def segments(self, bonds: np.ndarray) -> Iterator[tuple[_Offset, np.ndarray]]:
-        """Split a component-major (d, n) block into its offsets' parts."""
+        """Split per-bond values, bonds on the last axis, into its offsets' parts."""
         k = 0
         for o in self.offsets:
-            yield o, bonds[:, k:k + o.n]
+            yield o, bonds[..., k:k + o.n]
             k += o.n
 
 
@@ -209,35 +218,67 @@ def build_pairs(grid: Grid, mask: SubdomainMask | None, radius: float) -> PairSe
     return PairSet(grid, active, radius)
 
 
-class _Workspace:
-    """What the F_n passes over one pair set share: per run, the per-bond
-    lengths |xi| and kernel weights rho, and scratch sized to the largest
-    run.  Every pass overwrites the scratch."""
+#: scratch rows an F_n pass holds at once; the energy alone holds three
+_FN_ROWS = 6
 
-    def __init__(self, pairs: PairSet, kernel: Kernel):
-        self.lengths = [run.per_bond(run.r) for run in pairs._runs]
-        self.rho = [run.per_bond(kernel(run.r)) for run in pairs._runs]
+
+class _Scratch:
+    """Per-bond buffers for passes over one pair set, sized to its largest
+    run: ``rows`` rows of temporaries and a component-major bond block.
+    Each run of a pass overwrites them."""
+
+    def __init__(self, pairs: PairSet, rows: int):
         n = max((run.n for run in pairs._runs), default=0)
-        self.temps = np.empty((7, n))  # as many as an F_n pass holds at once
+        self.temps = np.empty((rows, n))
         self.dv = np.empty(pairs.grid.dim * n)
 
+    def row(self, slot: int, n: int, dtype: type = float) -> np.ndarray:
+        """The first n values of row ``slot``, uninitialized."""
+        return self.temps[slot].view(dtype)[:n]
 
-def _scratch(ws: _Workspace | None, slot: int, n: int, dtype: type = float) -> np.ndarray:
-    """n uninitialized per-bond values: fresh, or in the workspace's row ``slot``."""
-    return np.empty(n, dtype) if ws is None else ws.temps[slot].view(dtype)[:n]
+
+class _Workspace(_Scratch):
+    """What the F_n passes of one minimization share: per run, the per-bond
+    lengths |xi| and kernel weights rho, and the scratch of an F_n pass."""
+
+    def __init__(self, pairs: PairSet, kernel: Kernel):
+        super().__init__(pairs, _FN_ROWS)
+        self.lengths = [run.per_bond(run.r) for run in pairs._runs]
+        self.rho = [run.per_bond(kernel(run.r)) for run in pairs._runs]
 
 
-def _bond_runs(pairs: PairSet, values: np.ndarray, ws: _Workspace | None = None
-               ) -> Iterator[tuple[_Run, np.ndarray, np.ndarray]]:
+def _by_bond(pairs: PairSet, run: _Run, per_offset: np.ndarray) -> np.ndarray | list:
+    """Per-offset values in the form a pass over ``pairs`` applies them with
+    :func:`_apply`: repeated over each offset's bonds for a set of one run,
+    whose many short offsets would each cost a numpy call, and otherwise
+    one scalar per offset."""
+    return run.per_bond(per_offset) if pairs._incidence is not None else per_offset.tolist()
+
+
+def _apply(op: np.ufunc, x: np.ndarray, y: np.ndarray | list, run: _Run,
+           out: np.ndarray) -> np.ndarray:
+    """``op(x, y)`` into ``out`` for per-bond values ``y`` from :func:`_by_bond`:
+    an array, or a list whose entries apply as scalars to their offsets'
+    segments.  Either way each bond gets the same operation on the same
+    values."""
+    if isinstance(y, np.ndarray):
+        return op(x, y, out=out)
+    for (_, xs), (_, outs), c in zip(run.segments(x), run.segments(out), y):
+        op(xs, c, out=outs)
+    return out
+
+
+def _bond_runs(pairs: PairSet, values: np.ndarray, buf: _Scratch
+               ) -> Iterator[tuple[_Run, np.ndarray]]:
     """Per run of offsets: the differences v(x + xi) - v(x) as one contiguous
-    component-major (d, n) block, and the per-bond lengths |xi|, in
-    offset-major, node-minor order.  Component-major keeps every per-bond
-    reduction over components a sum of contiguous rows."""
+    component-major (d, n) block in ``buf.dv``, in offset-major, node-minor
+    order.  Component-major keeps every per-bond reduction over components a
+    sum of contiguous rows."""
     d = values.shape[1]
     columns = np.ascontiguousarray(values.T)
     shaped = columns.reshape(d, *pairs.grid.shape)
-    for k, run in enumerate(pairs._runs):
-        dv = np.empty((d, run.n)) if ws is None else ws.dv[:d * run.n].reshape(d, run.n)
+    for run in pairs._runs:
+        dv = buf.dv[:d * run.n].reshape(d, run.n)
         if pairs._incidence is not None:  # then this is the only run
             for row, col in zip(dv, columns):
                 row[...] = pairs._incidence.D @ col
@@ -248,7 +289,7 @@ def _bond_runs(pairs: PairSet, values: np.ndarray, ws: _Workspace | None = None
                     np.subtract(head, tail, out=seg.reshape(d, *o.shape))
                 else:
                     seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
-        yield run, dv, run.per_bond(run.r) if ws is None else ws.lengths[k]
+        yield run, dv
 
 
 def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> None:
@@ -296,38 +337,37 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     w2 = 2.0 * g.cell_volume**2
     total = 0.0
     out = np.zeros((g.dim, *g.shape)) if gradient else None
-    k = -1  # enumerate() would hold each run's arrays into the next run
-    for run, dv, r in _bond_runs(pairs, v.values, ws):
-        n, k = run.n, k + 1
-        norm_dv = _norm(dv, out=_scratch(ws, 0, n))
-        t = np.divide(norm_dv, r, out=_scratch(ws, 1, n))
-        if not np.isfinite(t, out=_scratch(ws, 6, n, bool)).all():
+    buf = ws if ws is not None else _Scratch(pairs, _FN_ROWS if gradient else 3)
+    for k, (run, dv) in enumerate(_bond_runs(pairs, v.values, buf)):
+        n = run.n
+        if ws is None:
+            r, rho = _by_bond(pairs, run, run.r), _by_bond(pairs, run, kernel(run.r))
+        else:
+            r, rho = ws.lengths[k], ws.rho[k]
+        norm_dv = _norm(dv, out=buf.row(0, n))
+        t = _apply(np.divide, norm_dv, r, run, buf.row(1, n))
+        if not np.isfinite(t.max()):  # t is >= 0 or NaN, so one reduction tests it
             raise ValueError("non-finite stretch encountered")
-        s = _strain(m, t, out=_scratch(ws, 2, n))
-        sign = np.sign(s, out=_scratch(ws, 3, n)) if gradient else None
+        s = _strain(m, t, out=buf.row(2, n))
+        sign = np.sign(s, out=buf.row(4, n)) if gradient else None
         a = np.abs(s, out=s)  # only the sign of s is used after this
-        rho = run.per_bond(kernel(run.r)) if ws is None else ws.rho[k]
-        if energy:
-            total += float(np.sum(np.multiply(rho, phi(a), out=_scratch(ws, 4, n))))
+        if energy:  # without the gradient, t is not read again
+            total += float(np.sum(_apply(np.multiply, phi(a), rho, run,
+                                         buf.row(3 if gradient else 1, n))))
         if gradient:
             # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place
-            coeff = np.multiply(w2, rho, out=_scratch(ws, 5, n))
-            coeff *= phi.d(a)
+            coeff = buf.row(5, n)
+            w2rho = ([w2 * c for c in rho] if isinstance(rho, list)
+                     else np.multiply(w2, rho, out=coeff))
+            coeff = _apply(np.multiply, phi.d(a), w2rho, run, coeff)
             coeff *= sign
             if m != 1:
-                coeff *= np.power(t, m - 1.0, out=_scratch(ws, 4, n))
-            div = _scratch(ws, 3, n)  # where sign was
+                coeff *= np.power(t, m - 1.0, out=buf.row(3, n))
+            div = buf.row(4, n)  # where sign was
             div.fill(0.0)
-            dv *= np.divide(coeff, np.multiply(norm_dv, r, out=_scratch(ws, 4, n)), out=div,
-                            where=np.greater(norm_dv, 0, out=_scratch(ws, 6, n, bool)))
-            del div  # held into the next run, it would raise peak memory
+            dv *= np.divide(coeff, _apply(np.multiply, norm_dv, r, run, buf.row(3, n)),
+                            out=div, where=np.greater(norm_dv, 0, out=buf.row(1, n, bool)))
             _scatter(pairs, run, dv, out)
-        # A workspace holds the lengths, weights and per-bond temporaries
-        # across passes: allocated ones (148 KB at 18,488 bonds, over glibc's
-        # 128 KiB mmap threshold) were unmapped or trimmed and faulted in again
-        # on every pass.  Without one, the bond block and lengths, the largest
-        # of this run's arrays, are freed before the next run is gathered.
-        del dv, r
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:
         return None, grad
@@ -354,22 +394,35 @@ def energy_gradient_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Po
     return _Fn_pass(v, A, kernel, phi, m, pairs)
 
 
+def _strain_of_q(m: float, q: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Overwrite q = t^2 - 1 > -1 with the strain s_m(t), using ``tmp``:
+    q / (1 + sqrt(1 + q)) for m = 1 and expm1((m/2) log1p(q)) / m otherwise."""
+    if m == 1:
+        np.sqrt(np.add(q, 1.0, out=tmp), out=tmp)
+        tmp += 1.0
+        return np.divide(q, tmp, out=q)
+    np.log1p(q, out=q)
+    q *= 0.5 * m
+    return np.divide(np.expm1(q, out=q), m, out=q)
+
+
 def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: float | None,
                      rho: Callable[[np.ndarray], np.ndarray] | None = None,
                      w: MicroPotential | None = None, m: float = 1.0,
                      eps_list: Sequence[float] = ()) -> tuple[PairSet, float, list]:
     """One pass over the bonds of the linearization table.
 
-    Returns the pairs, the double sum of rho(|xi|) ((u(x + xi) - u(x)) . xi /
-    |xi|^2)^2 (0 without ``rho``) and, per eps, eps^-2 times the double sum of
-    w(xi, s_m[x + eps u]).  A bond whose deformed length vanishes puts the
-    strain on the boundary of its domain: that eps gets the
-    :class:`StrainDomainError` naming the first such bond in offset-major,
-    node-minor order and takes no further work.  Each number is bit-identical
-    to a pass of its own.
+    Returns the pairs, the double sum of rho(|xi|) a^2 (0 without ``rho``)
+    and, per eps, eps^-2 times the double sum of w(xi, s_m[x + eps u]), with
+    a, q and the strain as in :func:`energy_E_eps`.  An eps at which some
+    bond has q <= ``_VANISHED`` gets the :class:`StrainDomainError` naming
+    the first such bond in offset-major, node-minor order and takes no
+    further work.  Each number is bit-identical to a pass of its own.
     """
-    if any(eps <= 0 for eps in eps_list):
-        raise ValueError("eps must be positive")
+    if not all(0 < eps < math.inf for eps in eps_list):
+        raise ValueError("eps must be positive and finite")
+    if eps_list and m < 1:
+        raise ValueError("strain order m must be >= 1")
     g = u.grid
     if pairs is None:
         if support_radius is None:
@@ -377,26 +430,42 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
         pairs = build_pairs(g, None, support_radius)
     xrho = 0.0
     totals: list = [0.0] * len(eps_list)
-    for run, du, r in _bond_runs(pairs, u.values):
+    # rows a (then 2a), b and the lengths that w reads; the bond block is dead
+    # once a and b are formed, and its first row takes the rho a^2 terms and
+    # then q and s, its second (a row of its own in 1D) the strain's temporary
+    d = g.dim
+    buf = _Scratch(pairs, (3 + (d == 1)) if eps_list else 1)
+    for run, du in _bond_runs(pairs, u.values, buf):
+        n = run.n
+        a = buf.row(0, n)
+        b, r = (buf.row(1, n), buf.row(2, n)) if eps_list else (None, None)
+        start = 0
+        for o, du_o in run.segments(du):
+            at, start = slice(start, start + o.n), start + o.n
+            rr = o.r * o.r  # |xi|^2, as r**2 squares it
+            np.divide(np.einsum("kp,k->p", du_o, o.xi, out=a[at]), rr, out=a[at])
+            if eps_list:
+                np.divide(np.einsum("kp,kp->p", du_o, du_o, out=b[at]), rr, out=b[at])
+                r[at] = o.r
         if rho is not None:
-            du_dot = np.einsum("kp,kp->p", du, run.per_bond(run.xi)) / r**2
-            xrho += float(np.sum(run.per_bond(rho(run.r)) * du_dot**2))
-            del du_dot  # held through the eps loop, it would raise peak memory
+            terms = np.square(a, out=buf.dv[:n])
+            xrho += float(np.sum(_apply(np.multiply, terms, rho(run.r).tolist(), run, terms)))
+        if not eps_list:
+            continue
+        a *= 2.0
+        q, tmp = buf.dv[:n], buf.dv[n:2 * n] if d > 1 else buf.row(3, n)
         for k, eps in enumerate(eps_list):
             if isinstance(totals[k], StrainDomainError):
                 continue
-            delta = du * eps
-            for o, seg in run.segments(delta):
-                seg += o.xi[:, None]
-            t = _norm(delta) / r
-            del delta, seg  # held while w runs, they would set the pass's peak memory
-            if np.any(t <= 0):
-                i, j = pairs._pair(run, int(np.argmax(t <= 0)))
+            np.multiply(b, eps, out=q)
+            q += a
+            q *= eps
+            if q.min() <= _VANISHED:
+                i, j = pairs._pair(run, int(np.argmax(q <= _VANISHED)))
                 totals[k] = StrainDomainError(
                     f"bond stretch vanished for node pair ({i}, {j})", pair=(i, j))
             else:
-                totals[k] += float(np.sum(w(r, strain(m, t))))
-            del t  # held into the next eps, it would raise peak memory
+                totals[k] += float(np.sum(w(r, _strain_of_q(m, q, tmp))))
     w2 = 2.0 * g.cell_volume**2
     return pairs, w2 * xrho, [s if isinstance(s, StrainDomainError) else w2 * s / eps**2
                                 for s, eps in zip(totals, eps_list)]
@@ -409,9 +478,15 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
 
     Value is eps^-2 times the double sum of w(y-x, s_m[x + eps u]) over
     ``pairs`` or else the bonds within ``support_radius`` (one of the two is
-    required).  A bond whose deformed length vanishes puts the strain on the
-    boundary of its domain and raises :class:`StrainDomainError`; its
-    ``pair`` is the first such bond in offset-major, node-minor order.
+    required).  The strain comes from the squared stretch minus one,
+    q = t^2 - 1 = eps (2a + eps b) with a = (u(y) - u(x)) . (y - x) /
+    |y - x|^2 and b = |u(y) - u(x)|^2 / |y - x|^2, as q / (1 + sqrt(1 + q))
+    for m = 1 and expm1((m/2) log1p(q)) / m otherwise: accurate to rounding
+    at every eps, where t^m - 1 would cancel to an error growing like 1/eps.
+    A bond with q <= -1 to rounding (``_VANISHED``), whose deformed length
+    vanishes, puts the strain on the boundary of its domain and raises
+    :class:`StrainDomainError`; its ``pair`` is the first such bond in
+    offset-major, node-minor order.
     """
     pairs, _, (value,) = _linearized_pass(u, pairs, support_radius, w=w, m=m,
                                           eps_list=(eps,))
@@ -423,9 +498,9 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
 def energy_E0(u: VectorField, rho: Callable[[np.ndarray], np.ndarray],
               support_radius: float | None = None,
               pairs: PairSet | None = None) -> EnergyReport:
-    """Quadratic linearized energy (1/2) * double sum of rho(|xi|) (Du . Di)^2
-    over ``pairs`` or else the bonds within ``support_radius`` (one of the two
-    is required)."""
+    """Quadratic linearized energy (1/2) * double sum of
+    rho(|xi|) ((u(x + xi) - u(x)) . xi / |xi|^2)^2 over ``pairs`` or else the
+    bonds within ``support_radius`` (one of the two is required)."""
     pairs, double, _ = _linearized_pass(u, pairs, support_radius, rho)
     return EnergyReport(float(0.5 * double), 2 * len(pairs), u.grid.h)
 
@@ -436,7 +511,12 @@ def seminorm_W(v: VectorField, kernel: Kernel, p: float,
     if pairs is None:
         pairs = build_pairs(v.grid, A, kernel.support_radius)
     total = 0.0
-    for run, dv, r in _bond_runs(pairs, v.values):
-        total += float(np.sum(run.per_bond(kernel(run.r)) * (_norm(dv) / r)**p))
+    buf = _Scratch(pairs, 1)
+    for run, dv in _bond_runs(pairs, v.values, buf):
+        r, rho = _by_bond(pairs, run, run.r), _by_bond(pairs, run, kernel(run.r))
+        t = buf.row(0, run.n)
+        _apply(np.divide, _norm(dv, out=t), r, run, t)
+        t **= p  # as t ** p computes it: squaring for p = 2
+        total += float(np.sum(_apply(np.multiply, t, rho, run, t)))
     return float(2.0 * v.grid.cell_volume**2 * total)
 

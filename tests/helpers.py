@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import peribond.density
-from peribond.energy import PairSet, _bond_runs, _norm
+from peribond.energy import PairSet, _bond_runs, _norm, _Scratch
 from peribond.grids import VectorField
 from peribond.kernels import (Kernel, KernelSequence, make_fractional,
                               radial_integral)
@@ -31,8 +31,8 @@ def set_laminate_grid(monkeypatch, n_lambda: int, n_mag: int, max_mag: float,
 
 def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
     """Bond stretches t = |v(x_j) - v(x_i)| / |x_j - x_i| over a pair set."""
-    return np.concatenate([np.empty(0),
-                           *(_norm(dv) / r for _, dv, r in _bond_runs(pairs, v.values))])
+    return np.concatenate([np.empty(0), *(_norm(dv) / run.per_bond(run.r) for run, dv
+                                          in _bond_runs(pairs, v.values, _Scratch(pairs, 0)))])
 
 
 def huber_power(p: float, a0: float) -> Potential:

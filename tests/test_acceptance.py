@@ -211,6 +211,19 @@ def test_criterion_05_linearization_rate_even_collinear_case():
     assert tab.slope is not None and 1.8 <= tab.slope <= 2.2, tab.slope
 
 
+def test_criterion_05_collinear_rate_holds_to_small_eps():
+    # The same case keeps its eps^2 rate down to eps = 1e-7, where the
+    # deviation (2.6e-3 eps^2 relative) falls below one rounding of E0:
+    # E_eps is formed from the strain, not from a stretch t = 1 + O(eps)
+    # whose t - 1 would cancel.
+    u, radius = _rate_field(1)
+    tab = linearization_experiment(u, catalog_potential("cohesive"), 1.0,
+                                   [1e-5, 1e-6, 1e-7], support_radius=radius)
+    for row in tab.rows:
+        assert not row.flagged
+        assert row.abs_err <= (3e-3 * row.eps**2 + 4 * np.finfo(float).eps) * tab.E0, row
+
+
 def test_criterion_05_collinear_quadratic_case_exact():
     u, radius = _rate_field(1)
     tab = linearization_experiment(u, catalog_potential("mbm_smooth"), 1.0,

@@ -235,6 +235,24 @@ class TestCliExitCodes:
         assert err["error"] == "parse"
         assert json.loads((tmp_path / "out" / "error.json").read_text())["error"] == "parse"
 
+    @pytest.mark.parametrize("cfg,constant", [
+        (with_keys(GOOD_LINEARIZE, "linearize", eps=[float("inf"), 0.1, 0.05]), "Infinity"),
+        (with_keys(GOOD_LINEARIZE, "linearize", eps=[0.1, float("nan")]), "NaN"),
+        ({"experiment": "energy", "domain": DOMAIN_1D,
+          "kernel": {"family": "box", "delta": float("inf")},
+          "potential": {"profile": "power", "p": 2.0}}, "Infinity"),
+        ({**GOOD_MINIMIZE, "minimize": {"datum": [-float("inf")], "max_iters": 20}},
+         "-Infinity"),
+    ], ids=["linearize_eps_inf", "linearize_eps_nan", "energy_delta_inf", "datum_minus_inf"])
+    def test_non_finite_number_is_a_parse_error(self, tmp_path, capsys, cfg, constant):
+        # json.dumps writes inf and nan as these constants, and json.load
+        # would read them back; a config holds finite numbers only
+        cfg = write(tmp_path, "c.json", cfg)
+        assert constant in Path(cfg).read_text()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and constant in err["detail"][0]
+
     def test_validation_error_is_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.json", {"experiment": "sawtooth",
                                          "sawtooth": {"N": 0, "delta": 0.1}})
@@ -389,8 +407,8 @@ class TestLinearizationRate:
                                            ("mbm_smooth", "sinusoid"),
                                            ("two_well", "quadratic")])
     def test_limit_reached_to_rounding_passes(self, tmp_path, capsys, tag, field):
-        # |E_eps - E0| is at most 2.2e-16 here, so the fitted slope (-0.3 or
-        # +0.3) measures rounding noise, not the rate
+        # |E_eps - E0| is at most 2.2e-16 here, so the fitted slope (about 0:
+        # the same rounding at every eps) measures rounding noise, not the rate
         cfg = write(tmp_path, "c.json", {
             **GOOD_LINEARIZE, "strain_m": 1, "domain": {**DOMAIN_1D, "n_cells": 64},
             "micropotential": {"tag": tag},

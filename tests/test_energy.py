@@ -1,6 +1,9 @@
 """Discrete double-integral energies against brute-force oracles, gradient
 checks, and the quadratic small-displacement identities."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from peribond.energy import (PairSet, StrainDomainError, _Fn_pass, _Workspace, b
 from peribond.grids import (SubdomainMask, VectorField, affine_field, box_grid,
                             box_subdomain, field_from_function, full_mask)
 from peribond.kernels import box_kernel, make_rescaled
-from peribond.materials import catalog_potential, power_potential, strain
+from peribond.materials import CATALOG_TAGS, catalog_potential, power_potential, strain
 from peribond.solver import linearization_experiment
 
 
@@ -46,8 +49,8 @@ def brute_force_energy(v, kernel, phi, m):
 
 class ListedPairs(PairSet):
     """A PairSet that also lists its bonds one by one, in the order every
-    bond sum visits them: tail and head nodes ``i`` and ``j``, lengths ``r``
-    and unit directions ``dir``."""
+    bond sum visits them: tail and head nodes ``i`` and ``j``, bond vectors
+    ``xi``, lengths ``r`` and unit directions ``dir``."""
 
     def _offsets(self):
         return [o for run in self._runs for o in run.offsets]
@@ -67,9 +70,14 @@ class ListedPairs(PairSet):
         return np.concatenate([np.empty(0), *(run.per_bond(run.r) for run in self._runs)])
 
     @property
-    def dir(self):
+    def xi(self):
         return np.concatenate([np.empty((0, self.grid.dim)),
-                               *(run.per_bond(run.xi / run.r).T for run in self._runs)])
+                               *(np.repeat([o.xi for o in run.offsets], run.counts, axis=0)
+                                 for run in self._runs)])
+
+    @property
+    def dir(self):
+        return self.xi / self.r[:, None]
 
 
 def listed_pairs(grid, mask, radius):
@@ -437,6 +445,71 @@ class TestEEps:
         dead = np.flatnonzero(np.all(deformed[ref.j] == deformed[ref.i], axis=1))
         assert [(ref.i[k], ref.j[k]) for k in dead] == [(45, 46), (9, 17)]
 
+    def test_collapse_along_any_offset_is_named(self):
+        # x + xi + eps (u(x + xi) - u(x)) rounds to x exactly along diagonal
+        # offsets too, where |xi|^2 = r * r only to rounding
+        w = catalog_potential("quartic")
+        for n in (8, 10, 64):
+            g = box_grid(2, 0.0, 1.0, n)
+            pairs = build_pairs(g, None, 4 * g.h)
+            a = (n // 2) * n + n // 2 - 2
+            for off in [(1, 1), (1, 2), (2, 1), (1, -1), (2, 3)]:
+                b = a + off[0] * n + off[1]
+                for eps in (0.5, 0.3, 0.1):
+                    vals = np.zeros((g.n_nodes, 2))
+                    vals[b] = -np.array(off) * g.h / eps
+                    u = VectorField(g, vals)
+                    deformed = np.array(off) * g.h + eps * (vals[b] - vals[a])
+                    assert not deformed.any()
+                    with pytest.raises(StrainDomainError) as info:
+                        energy_E_eps(u, w, 1.0, eps, pairs=pairs)
+                    assert info.value.pair == (a, b)
+
+
+class TestEEpsExact:
+    """E_eps against a reference whose strains are exact: each bond's strain
+    is computed in 50-digit decimal arithmetic from the float data, rounded
+    once, and the library's Psi of it summed with math.fsum."""
+
+    EPS = (0.02, 1e-3, 1e-4, 1e-6)
+    GRIDS = {1: (24, 3.5 / 24), 2: (12, 0.25), 3: (5, 0.4)}
+
+    @staticmethod
+    def exact_strains(u, pairs, m, eps):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e = Decimal(eps)
+            vals = [[Decimal(c) for c in row] for row in u.values.tolist()]
+            strains = []
+            for o in pairs._offsets():
+                xi = [Decimal(c) for c in o.xi.tolist()]
+                xi2 = sum(c * c for c in xi)
+                for i, j in zip(*pairs._nodes(o)):
+                    t2 = sum((c + e * (b - a)) ** 2
+                             for c, a, b in zip(xi, vals[i], vals[j])) / xi2
+                    strains.append(float(t2.sqrt() - 1 if m == 1 else (t2 - 1) / 2))
+        return np.array(strains)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_exact_reference(self, d):
+        n, radius = self.GRIDS[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        x = g.nodes()
+        rng = np.random.default_rng(140 + d)
+        u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
+        pairs = listed_pairs(g, None, radius)
+        w2 = 2.0 * g.cell_volume**2
+        worst = 0.0
+        for m in (1.0, 2.0):
+            for eps in self.EPS:
+                s = self.exact_strains(u, pairs, m, eps)
+                for tag in CATALOG_TAGS:
+                    w = catalog_potential(tag)
+                    ref = math.fsum(w(pairs.r, s).tolist()) * w2 / eps**2
+                    got = energy_E_eps(u, w, m, eps, pairs=pairs).value
+                    worst = max(worst, abs(got - ref) / ref)
+        assert worst <= 1e-14
+
 
 class TestLinearizationPass:
     """linearization_experiment computes E0 and every E_eps in one pass over
@@ -516,6 +589,16 @@ class TestLinearizationPass:
             linearization_experiment(u, w, 1.0, [0.1, 0.05, bad, 0.01], support_radius=0.2)
         with pytest.raises(ValueError, match="eps must be positive"):
             energy_E_eps(u, w, 1.0, bad, support_radius=0.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_eps_rejected(self, bad):
+        g = box_grid(1, 0.0, 1.0, 16)
+        u = field_from_function(g, lambda x: x**2)
+        w = catalog_potential("quartic")
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            energy_E_eps(u, w, 1.0, bad, support_radius=0.2)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            linearization_experiment(u, w, 1.0, [bad, 0.1], support_radius=0.2)
 
     def test_horizon_is_required(self):
         # without pairs or a support radius there is no horizon to default to,
@@ -615,7 +698,7 @@ class TestIncidencePath:
         k = len(fast) // 2
         i, j = fast.i[k], fast.j[k]
         collapse = np.zeros((g.n_nodes, d))
-        collapse[j] = -2.0 * fast._runs[0].per_bond(fast._runs[0].xi)[:, k]
+        collapse[j] = -2.0 * fast.xi[k]
         u = VectorField(g, collapse)
         errors = []
         for pairs in (fast, slow):
@@ -628,6 +711,51 @@ class TestIncidencePath:
         g = box_grid(2, 0.0, 1.0, 128)
         pairs = build_pairs(g, box_subdomain(g, 0.05, collar_width=0.04), 0.04)
         assert len(pairs._runs) > 1 and pairs._incidence is None
+
+    def test_multi_run_passes_take_per_offset_scalars(self, monkeypatch):
+        # one-off passes over a set of several runs copy no per-offset value
+        # to a per-bond array
+        import peribond.energy
+
+        g = box_grid(2, 0.0, 1.0, 128)
+        mask = box_subdomain(g, 0.05, collar_width=0.04)
+        pairs = build_pairs(g, mask, 0.04)
+        kernel = make_rescaled(box_kernel(2), 0.04)
+        v = affine_field(g, np.array([[1.1, 0.2], [-0.1, 0.9]]))
+
+        def no_per_bond(*args):
+            raise AssertionError("per-bond copy of per-offset values")
+
+        monkeypatch.setattr(peribond.energy._Run, "per_bond", no_per_bond)
+        phi = power_potential(2.0)
+        energy_Fn(v, mask, kernel, phi, 1.0, pairs=pairs)
+        gradient_Fn(v, mask, kernel, phi, 2.0, pairs=pairs)
+        energy_gradient_Fn(v, mask, kernel, phi, 1.0, pairs=pairs)
+        seminorm_W(v, kernel, 2.0, pairs=pairs)
+
+    @pytest.mark.parametrize("kind", ["full", "holed_box"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_set_equals_one_run(self, d, kind, monkeypatch):
+        # per-offset scalars on runs of a few offsets give what the per-bond
+        # arrays of the one-run set give
+        import peribond.energy
+
+        n, radius = TestStencilEquivalence.SIZES[d]
+        g = box_grid(d, 0.0, 1.0, n)
+        mask = self._mask(g, kind, radius)
+        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
+        rng = np.random.default_rng(150 + d)
+        x = g.nodes()
+        v = VectorField(g, x @ (np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))).T
+                        + 0.05 * rng.standard_normal(x.shape))
+        one = build_pairs(g, mask, radius)
+        monkeypatch.setattr(peribond.energy, "_RUN_BONDS", 10)
+        split = build_pairs(g, mask, radius)
+        assert len(one._runs) == 1 and len(split._runs) > 1
+        phi = huber_power(2.0, 0.3)
+        for m in (1.0, 2.0):
+            np.testing.assert_array_equal(gradient_Fn(v, mask, kernel, phi, m, pairs=split).values,
+                                          gradient_Fn(v, mask, kernel, phi, m, pairs=one).values)
 
 
 class TestWorkspace:
