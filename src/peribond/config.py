@@ -15,6 +15,7 @@ distinct exit codes.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from typing import Any, NamedTuple
 
@@ -220,17 +221,22 @@ def _check_cross(problems: list[str], cfg: dict) -> None:
                             f"= {dom['dim']}")
 
 
-def _no_constant(name: str):
-    raise ConfigError("parse", [f"config holds {name}, which is not a finite number"])
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float, if it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError("parse", [f"config holds {text}, which is not a finite number"])
+    return value
 
 
 def parse_config(path: str) -> dict:
     """Parse a scenario file; raises ConfigError("parse", ...) on bad JSON,
-    including the non-finite constants NaN, Infinity and -Infinity that
-    Python's json module would otherwise accept."""
+    including the non-finite numbers that Python's json module would
+    otherwise accept: the constants NaN, Infinity and -Infinity, and numbers
+    such as 1e999 that overflow to infinity."""
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_constant=_no_constant)
+            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError("parse", [f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:

@@ -13,13 +13,13 @@ ways, chosen by the pair set's size, with bit-identical results.  A set of one
 run of offsets (see ``_RUN_BONDS``) multiplies by its signed incidence matrix
 D and by D^T; a larger set uses slice arithmetic and slice adds per offset.
 
-Per-offset values (|xi| and rho(|xi|)) are per-bond arrays in a set of one
-run and in a minimization's ``_Workspace``, which holds them; a larger set,
-and every linearized pass, applies each as a scalar to its offset's segment
-of bonds.  Every pass keeps its per-bond temporaries in scratch rows sized
-to the largest run, allocated once per call or once per minimization: at
-18,488 bonds each is 148 KB, over glibc's 128 KiB mmap threshold, so
-allocating ~20 a pass meant page-faulting them in anew.
+Every pass keeps its per-bond temporaries in scratch rows sized to the
+largest run, allocated once per call or once per minimization: at 18,488
+bonds each is 148 KB, over glibc's 128 KiB mmap threshold, so allocating ~20
+a pass meant page-faulting them in anew.  Per-offset values (|xi| and
+rho(|xi|)) enter as per-bond arrays: a minimization's ``_Workspace`` holds
+them per run, and a one-off pass writes them into scratch rows that its
+temporaries take over once they are read.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from .materials import MicroPotential, Potential, _strain
 _RUN_BONDS = 1 << 15
 _ALL = slice(None)
 
-#: A bond with q = t^2 - 1 <= _VANISHED has a vanishing stretch t.  Where
-#: the deformed bond xi + eps (u(x + xi) - u(x)) rounds to zero, the computed
-#: q lies within 10 units of 2^-53 of -1, on either side (measured on 10^5
-#: such bonds, d = 1, 2, 3); a t^2 below 32 units cannot be told from zero.
-_VANISHED = -1.0 + 2.0**-48
+#: q = t^2 - 1 carries an absolute rounding error of a few units of 2^-53,
+#: so 1 + q loses t^2's digits as t shrinks.  A bond with q below this takes
+#: its stretch t from its deformed bond vector instead, and s_m(t) =
+#: (t^m - 1) / m, which does not cancel there.
+_COMPRESSED = -0.5
 
 
 class StrainDomainError(ValueError):
@@ -98,9 +98,11 @@ class _Run:
         self.n = int(self.counts.sum())
         self.r = np.array([o.r for o in offsets])
 
-    def per_bond(self, per_offset: np.ndarray) -> np.ndarray:
-        """Repeat one value (or column) per offset over the offset's bonds."""
-        return np.repeat(per_offset, self.counts, axis=-1)
+    def per_bond(self, per_offset: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write one value per offset over the offset's bonds into ``out``."""
+        for (_, seg), c in zip(self.segments(out), per_offset.tolist()):
+            seg.fill(c)
+        return out
 
     def segments(self, bonds: np.ndarray) -> Iterator[tuple[_Offset, np.ndarray]]:
         """Split per-bond values, bonds on the last axis, into its offsets' parts."""
@@ -204,13 +206,22 @@ class PairSet:
         i, j = self._index[o.src].ravel(), self._index[o.dst].ravel()
         return (i, j) if o.keep is None else (i[o.keep], j[o.keep])
 
-    def _pair(self, run: _Run, k: int) -> tuple[int, int]:
-        """The node pair of bond ``k`` of ``run``."""
+    def _deformed(self, run: _Run, values: np.ndarray, eps: float, bonds: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the bonds ``bonds`` (ascending) of ``run``: their tail and head
+        nodes and the component-major block of their deformed bond vectors
+        xi + eps (v(head) - v(tail))."""
         ends = np.cumsum(run.counts)
-        q = int(np.searchsorted(ends, k, side="right"))
-        i, j = self._nodes(run.offsets[q])
-        k -= int(ends[q] - run.counts[q])
-        return int(i[k]), int(j[k])
+        which = np.searchsorted(ends, bonds, side="right")
+        tails, heads = np.empty_like(bonds), np.empty_like(bonds)
+        deformed = np.empty((values.shape[1], len(bonds)))
+        for q in np.unique(which).tolist():
+            at = which == q
+            i, j = self._nodes(run.offsets[q])
+            k = bonds[at] - (ends[q] - run.counts[q])
+            tails[at], heads[at] = i[k], j[k]
+            deformed[:, at] = (values[j[k]] - values[i[k]]).T * eps + run.offsets[q].xi[:, None]
+        return tails, heads, deformed
 
 
 def build_pairs(grid: Grid, mask: SubdomainMask | None, radius: float) -> PairSet:
@@ -233,7 +244,8 @@ class _Scratch:
         self.dv = np.empty(pairs.grid.dim * n)
 
     def row(self, slot: int, n: int, dtype: type = float) -> np.ndarray:
-        """The first n values of row ``slot``, uninitialized."""
+        """The first n values of row ``slot`` (negative counts from the last),
+        uninitialized."""
         return self.temps[slot].view(dtype)[:n]
 
 
@@ -243,29 +255,8 @@ class _Workspace(_Scratch):
 
     def __init__(self, pairs: PairSet, kernel: Kernel):
         super().__init__(pairs, _FN_ROWS)
-        self.lengths = [run.per_bond(run.r) for run in pairs._runs]
-        self.rho = [run.per_bond(kernel(run.r)) for run in pairs._runs]
-
-
-def _by_bond(pairs: PairSet, run: _Run, per_offset: np.ndarray) -> np.ndarray | list:
-    """Per-offset values in the form a pass over ``pairs`` applies them with
-    :func:`_apply`: repeated over each offset's bonds for a set of one run,
-    whose many short offsets would each cost a numpy call, and otherwise
-    one scalar per offset."""
-    return run.per_bond(per_offset) if pairs._incidence is not None else per_offset.tolist()
-
-
-def _apply(op: np.ufunc, x: np.ndarray, y: np.ndarray | list, run: _Run,
-           out: np.ndarray) -> np.ndarray:
-    """``op(x, y)`` into ``out`` for per-bond values ``y`` from :func:`_by_bond`:
-    an array, or a list whose entries apply as scalars to their offsets'
-    segments.  Either way each bond gets the same operation on the same
-    values."""
-    if isinstance(y, np.ndarray):
-        return op(x, y, out=out)
-    for (_, xs), (_, outs), c in zip(run.segments(x), run.segments(out), y):
-        op(xs, c, out=outs)
-    return out
+        self.lengths = [run.per_bond(run.r, np.empty(run.n)) for run in pairs._runs]
+        self.rho = [run.per_bond(kernel(run.r), np.empty(run.n)) for run in pairs._runs]
 
 
 def _bond_runs(pairs: PairSet, values: np.ndarray, buf: _Scratch
@@ -337,36 +328,37 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
     w2 = 2.0 * g.cell_volume**2
     total = 0.0
     out = np.zeros((g.dim, *g.shape)) if gradient else None
-    buf = ws if ws is not None else _Scratch(pairs, _FN_ROWS if gradient else 3)
+    # Without a workspace, |xi| is written into t's row, and again into a
+    # free row where the gradient needs it; rho into the row of the energy
+    # terms or, with the gradient, of its coefficients.
+    one_off = ws is None
+    buf = _Scratch(pairs, _FN_ROWS if gradient else 3) if one_off else ws
     for k, (run, dv) in enumerate(_bond_runs(pairs, v.values, buf)):
         n = run.n
-        if ws is None:
-            r, rho = _by_bond(pairs, run, run.r), _by_bond(pairs, run, kernel(run.r))
-        else:
-            r, rho = ws.lengths[k], ws.rho[k]
         norm_dv = _norm(dv, out=buf.row(0, n))
-        t = _apply(np.divide, norm_dv, r, run, buf.row(1, n))
+        r = run.per_bond(run.r, buf.row(1, n)) if one_off else ws.lengths[k]
+        t = np.divide(norm_dv, r, out=buf.row(1, n))
         if not np.isfinite(t.max()):  # t is >= 0 or NaN, so one reduction tests it
             raise ValueError("non-finite stretch encountered")
         s = _strain(m, t, out=buf.row(2, n))
         sign = np.sign(s, out=buf.row(4, n)) if gradient else None
         a = np.abs(s, out=s)  # only the sign of s is used after this
+        rho = (run.per_bond(kernel(run.r), buf.row(5 if gradient else 1, n)) if one_off
+               else ws.rho[k])
         if energy:  # without the gradient, t is not read again
-            total += float(np.sum(_apply(np.multiply, phi(a), rho, run,
-                                         buf.row(3 if gradient else 1, n))))
+            total += float(np.sum(np.multiply(rho, phi(a), out=buf.row(3 if gradient else 1, n))))
         if gradient:
             # d/dt Phi(|s_m(t)|) = Phi'(|s|) sign(s) t^(m-1), built in place
-            coeff = buf.row(5, n)
-            w2rho = ([w2 * c for c in rho] if isinstance(rho, list)
-                     else np.multiply(w2, rho, out=coeff))
-            coeff = _apply(np.multiply, phi.d(a), w2rho, run, coeff)
+            coeff = np.multiply(w2, rho, out=buf.row(5, n))
+            coeff *= phi.d(a)
             coeff *= sign
             if m != 1:
                 coeff *= np.power(t, m - 1.0, out=buf.row(3, n))
             div = buf.row(4, n)  # where sign was
             div.fill(0.0)
-            dv *= np.divide(coeff, _apply(np.multiply, norm_dv, r, run, buf.row(3, n)),
-                            out=div, where=np.greater(norm_dv, 0, out=buf.row(1, n, bool)))
+            r = run.per_bond(run.r, buf.row(3, n)) if one_off else r
+            dv *= np.divide(coeff, np.multiply(norm_dv, r, out=buf.row(3, n)), out=div,
+                            where=np.greater(norm_dv, 0, out=buf.row(1, n, bool)))
             _scatter(pairs, run, dv, out)
     grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
     if not energy:
@@ -415,9 +407,9 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
     Returns the pairs, the double sum of rho(|xi|) a^2 (0 without ``rho``)
     and, per eps, eps^-2 times the double sum of w(xi, s_m[x + eps u]), with
     a, q and the strain as in :func:`energy_E_eps`.  An eps at which some
-    bond has q <= ``_VANISHED`` gets the :class:`StrainDomainError` naming
-    the first such bond in offset-major, node-minor order and takes no
-    further work.  Each number is bit-identical to a pass of its own.
+    bond's deformed length vanishes gets the :class:`StrainDomainError`
+    naming the first such bond in offset-major, node-minor order and takes
+    no further work.  Each number is bit-identical to a pass of its own.
     """
     if not all(0 < eps < math.inf for eps in eps_list):
         raise ValueError("eps must be positive and finite")
@@ -430,15 +422,14 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
         pairs = build_pairs(g, None, support_radius)
     xrho = 0.0
     totals: list = [0.0] * len(eps_list)
-    # rows a (then 2a), b and the lengths that w reads; the bond block is dead
-    # once a and b are formed, and its first row takes the rho a^2 terms and
-    # then q and s, its second (a row of its own in 1D) the strain's temporary
+    # rows a (then 2a), b and |xi|, and two spare rows: the bond block's,
+    # dead once a and b are formed, and in 1D one more.  The spare rows take
+    # E0's weights and terms, then q and the strain's temporary.
     d = g.dim
-    buf = _Scratch(pairs, (3 + (d == 1)) if eps_list else 1)
+    buf = _Scratch(pairs, (3 if eps_list else 1) + (d == 1))
     for run, du in _bond_runs(pairs, u.values, buf):
         n = run.n
-        a = buf.row(0, n)
-        b, r = (buf.row(1, n), buf.row(2, n)) if eps_list else (None, None)
+        a, b = buf.row(0, n), buf.row(1, n) if eps_list else None
         start = 0
         for o, du_o in run.segments(du):
             at, start = slice(start, start + o.n), start + o.n
@@ -446,26 +437,38 @@ def _linearized_pass(u: VectorField, pairs: PairSet | None, support_radius: floa
             np.divide(np.einsum("kp,k->p", du_o, o.xi, out=a[at]), rr, out=a[at])
             if eps_list:
                 np.divide(np.einsum("kp,kp->p", du_o, du_o, out=b[at]), rr, out=b[at])
-                r[at] = o.r
+        spare = buf.dv[:n], buf.dv[n:2 * n] if d > 1 else buf.row(-1, n)
         if rho is not None:
-            terms = np.square(a, out=buf.dv[:n])
-            xrho += float(np.sum(_apply(np.multiply, terms, rho(run.r).tolist(), run, terms)))
+            terms = np.square(a, out=spare[0])
+            xrho += float(np.sum(np.multiply(run.per_bond(rho(run.r), spare[1]), terms,
+                                             out=terms)))
         if not eps_list:
             continue
+        r = run.per_bond(run.r, buf.row(2, n))
         a *= 2.0
-        q, tmp = buf.dv[:n], buf.dv[n:2 * n] if d > 1 else buf.row(3, n)
+        q, tmp = spare
         for k, eps in enumerate(eps_list):
             if isinstance(totals[k], StrainDomainError):
                 continue
             np.multiply(b, eps, out=q)
             q += a
             q *= eps
-            if q.min() <= _VANISHED:
-                i, j = pairs._pair(run, int(np.argmax(q <= _VANISHED)))
-                totals[k] = StrainDomainError(
-                    f"bond stretch vanished for node pair ({i}, {j})", pair=(i, j))
-            else:
-                totals[k] += float(np.sum(w(r, _strain_of_q(m, q, tmp))))
+            near = None
+            if not q.min() >= _COMPRESSED:  # or some q is NaN
+                near = np.flatnonzero(q < _COMPRESSED)
+                tails, heads, deformed = pairs._deformed(run, u.values, eps, near)
+                t = _norm(deformed) / r[near]
+                if np.any(t <= 0):
+                    first = int(np.argmax(t <= 0))
+                    i, j = int(tails[first]), int(heads[first])
+                    totals[k] = StrainDomainError(
+                        f"bond stretch vanished for node pair ({i}, {j})", pair=(i, j))
+                    continue
+                q[near] = 0.0  # their strains are set below
+            s = _strain_of_q(m, q, tmp)
+            if near is not None:
+                s[near] = _strain(m, t, out=t)
+            totals[k] += float(np.sum(w(r, s)))
     w2 = 2.0 * g.cell_volume**2
     return pairs, w2 * xrho, [s if isinstance(s, StrainDomainError) else w2 * s / eps**2
                                 for s, eps in zip(totals, eps_list)]
@@ -483,8 +486,10 @@ def energy_E_eps(u: VectorField, w: MicroPotential, m: float, eps: float,
     |y - x|^2 and b = |u(y) - u(x)|^2 / |y - x|^2, as q / (1 + sqrt(1 + q))
     for m = 1 and expm1((m/2) log1p(q)) / m otherwise: accurate to rounding
     at every eps, where t^m - 1 would cancel to an error growing like 1/eps.
-    A bond with q <= -1 to rounding (``_VANISHED``), whose deformed length
-    vanishes, puts the strain on the boundary of its domain and raises
+    A strongly compressed bond, q < -1/2, takes its stretch t = |y - x +
+    eps (u(y) - u(x))| / |y - x| from the deformed bond and s_m(t) =
+    (t^m - 1) / m, which does not cancel there.  A bond whose deformed length
+    vanishes (t = 0) puts the strain on the boundary of its domain and raises
     :class:`StrainDomainError`; its ``pair`` is the first such bond in
     offset-major, node-minor order.
     """
@@ -511,12 +516,12 @@ def seminorm_W(v: VectorField, kernel: Kernel, p: float,
     if pairs is None:
         pairs = build_pairs(v.grid, A, kernel.support_radius)
     total = 0.0
-    buf = _Scratch(pairs, 1)
+    buf = _Scratch(pairs, 2)
     for run, dv in _bond_runs(pairs, v.values, buf):
-        r, rho = _by_bond(pairs, run, run.r), _by_bond(pairs, run, kernel(run.r))
-        t = buf.row(0, run.n)
-        _apply(np.divide, _norm(dv, out=t), r, run, t)
+        n = run.n
+        t = np.divide(_norm(dv, out=buf.row(0, n)), run.per_bond(run.r, buf.row(1, n)),
+                      out=buf.row(0, n))
         t **= p  # as t ** p computes it: squaring for p = 2
-        total += float(np.sum(_apply(np.multiply, t, rho, run, t)))
+        rho = run.per_bond(kernel(run.r), buf.row(1, n))  # where |xi| was
+        total += float(np.sum(np.multiply(rho, t, out=t)))
     return float(2.0 * v.grid.cell_volume**2 * total)
-

@@ -31,7 +31,7 @@ def set_laminate_grid(monkeypatch, n_lambda: int, n_mag: int, max_mag: float,
 
 def stretches(v: VectorField, pairs: PairSet) -> np.ndarray:
     """Bond stretches t = |v(x_j) - v(x_i)| / |x_j - x_i| over a pair set."""
-    return np.concatenate([np.empty(0), *(_norm(dv) / run.per_bond(run.r) for run, dv
+    return np.concatenate([np.empty(0), *(_norm(dv) / np.repeat(run.r, run.counts) for run, dv
                                           in _bond_runs(pairs, v.values, _Scratch(pairs, 0)))])
 
 

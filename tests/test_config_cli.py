@@ -243,10 +243,20 @@ class TestCliExitCodes:
           "potential": {"profile": "power", "p": 2.0}}, "Infinity"),
         ({**GOOD_MINIMIZE, "minimize": {"datum": [-float("inf")], "max_iters": 20}},
          "-Infinity"),
-    ], ids=["linearize_eps_inf", "linearize_eps_nan", "energy_delta_inf", "datum_minus_inf"])
+        (json.dumps(with_keys(GOOD_LINEARIZE, "linearize", eps=[float("inf"), 0.1, 0.05]))
+         .replace("Infinity", "1e999"), "1e999"),
+        (json.dumps({"experiment": "energy", "domain": DOMAIN_1D,
+                     "kernel": {"family": "box", "delta": float("inf")},
+                     "potential": {"profile": "power", "p": 2.0}})
+         .replace("Infinity", "1e999"), "1e999"),
+        (json.dumps({**GOOD_MINIMIZE, "minimize": {"datum": [-float("inf")], "max_iters": 20}})
+         .replace("Infinity", "1e400"), "-1e400"),
+    ], ids=["linearize_eps_inf", "linearize_eps_nan", "energy_delta_inf", "datum_minus_inf",
+            "linearize_eps_1e999", "energy_delta_1e999", "datum_minus_1e400"])
     def test_non_finite_number_is_a_parse_error(self, tmp_path, capsys, cfg, constant):
         # json.dumps writes inf and nan as these constants, and json.load
-        # would read them back; a config holds finite numbers only
+        # would read them back, as it reads a number that overflows to
+        # infinity; a config holds finite numbers only
         cfg = write(tmp_path, "c.json", cfg)
         assert constant in Path(cfg).read_text()
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2

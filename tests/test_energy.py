@@ -67,7 +67,7 @@ class ListedPairs(PairSet):
 
     @property
     def r(self):
-        return np.concatenate([np.empty(0), *(run.per_bond(run.r) for run in self._runs)])
+        return np.concatenate([np.empty(0), *(np.repeat(run.r, run.counts) for run in self._runs)])
 
     @property
     def xi(self):
@@ -490,19 +490,33 @@ class TestEEpsExact:
                     strains.append(float(t2.sqrt() - 1 if m == 1 else (t2 - 1) / 2))
         return np.array(strains)
 
+    @staticmethod
+    def fields(g, field):
+        """(u, eps) cases: a mild field at every eps in EPS, or fields that
+        compress every bond, diagonal ones too, to about t0 of its length,
+        where t^2 = 1 + q keeps too few of its digits to give t."""
+        x = g.nodes()
+        if field == "mild":
+            rng = np.random.default_rng(140 + g.dim)
+            u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
+            return [(u, eps) for eps in TestEEpsExact.EPS]
+        rng, eps = np.random.default_rng(160 + g.dim), 0.1
+        return [(VectorField(g, -(1.0 - t0) / eps * x
+                             + 0.01 * t0 * g.h / eps * rng.standard_normal(x.shape)), eps)
+                for t0 in (1e-6, 1e-3, 0.3)]
+
+    @pytest.mark.parametrize("field", ["mild", "compressed"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_matches_exact_reference(self, d):
+    def test_matches_exact_reference(self, d, field):
         n, radius = self.GRIDS[d]
         g = box_grid(d, 0.0, 1.0, n)
-        x = g.nodes()
-        rng = np.random.default_rng(140 + d)
-        u = VectorField(g, 0.5 * x**2 + 0.02 * rng.standard_normal(x.shape))
         pairs = listed_pairs(g, None, radius)
         w2 = 2.0 * g.cell_volume**2
         worst = 0.0
-        for m in (1.0, 2.0):
-            for eps in self.EPS:
+        for u, eps in self.fields(g, field):
+            for m in (1.0, 2.0):
                 s = self.exact_strains(u, pairs, m, eps)
+                assert (field == "mild") == (s.min() > -0.25)  # t > 0.71 on every bond
                 for tag in CATALOG_TAGS:
                     w = catalog_potential(tag)
                     ref = math.fsum(w(pairs.r, s).tolist()) * w2 / eps**2
@@ -711,51 +725,6 @@ class TestIncidencePath:
         g = box_grid(2, 0.0, 1.0, 128)
         pairs = build_pairs(g, box_subdomain(g, 0.05, collar_width=0.04), 0.04)
         assert len(pairs._runs) > 1 and pairs._incidence is None
-
-    def test_multi_run_passes_take_per_offset_scalars(self, monkeypatch):
-        # one-off passes over a set of several runs copy no per-offset value
-        # to a per-bond array
-        import peribond.energy
-
-        g = box_grid(2, 0.0, 1.0, 128)
-        mask = box_subdomain(g, 0.05, collar_width=0.04)
-        pairs = build_pairs(g, mask, 0.04)
-        kernel = make_rescaled(box_kernel(2), 0.04)
-        v = affine_field(g, np.array([[1.1, 0.2], [-0.1, 0.9]]))
-
-        def no_per_bond(*args):
-            raise AssertionError("per-bond copy of per-offset values")
-
-        monkeypatch.setattr(peribond.energy._Run, "per_bond", no_per_bond)
-        phi = power_potential(2.0)
-        energy_Fn(v, mask, kernel, phi, 1.0, pairs=pairs)
-        gradient_Fn(v, mask, kernel, phi, 2.0, pairs=pairs)
-        energy_gradient_Fn(v, mask, kernel, phi, 1.0, pairs=pairs)
-        seminorm_W(v, kernel, 2.0, pairs=pairs)
-
-    @pytest.mark.parametrize("kind", ["full", "holed_box"])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_split_set_equals_one_run(self, d, kind, monkeypatch):
-        # per-offset scalars on runs of a few offsets give what the per-bond
-        # arrays of the one-run set give
-        import peribond.energy
-
-        n, radius = TestStencilEquivalence.SIZES[d]
-        g = box_grid(d, 0.0, 1.0, n)
-        mask = self._mask(g, kind, radius)
-        kernel = custom_radial(d, lambda r: 1.0 - 0.8 * r / radius, radius)
-        rng = np.random.default_rng(150 + d)
-        x = g.nodes()
-        v = VectorField(g, x @ (np.eye(d) + 0.3 * rng.uniform(-1.0, 1.0, (d, d))).T
-                        + 0.05 * rng.standard_normal(x.shape))
-        one = build_pairs(g, mask, radius)
-        monkeypatch.setattr(peribond.energy, "_RUN_BONDS", 10)
-        split = build_pairs(g, mask, radius)
-        assert len(one._runs) == 1 and len(split._runs) > 1
-        phi = huber_power(2.0, 0.3)
-        for m in (1.0, 2.0):
-            np.testing.assert_array_equal(gradient_Fn(v, mask, kernel, phi, m, pairs=split).values,
-                                          gradient_Fn(v, mask, kernel, phi, m, pairs=one).values)
 
 
 class TestWorkspace:
