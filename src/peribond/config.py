@@ -229,14 +229,21 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """A JSON integer, exactly, if it is finite as a float."""
+    _finite(text)  # float() takes any digit count and overflows to infinity
+    return int(text)
+
+
 def parse_config(path: str) -> dict:
     """Parse a scenario file; raises ConfigError("parse", ...) on bad JSON,
     including the non-finite numbers that Python's json module would
     otherwise accept: the constants NaN, Infinity and -Infinity, and numbers
-    such as 1e999 that overflow to infinity."""
+    such as 1e999 or a 400-digit integer that overflow to infinity."""
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            data = json.load(fh, parse_float=_finite, parse_int=_integer,
+                             parse_constant=_finite)
     except OSError as exc:
         raise ConfigError("parse", [f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:

@@ -35,7 +35,7 @@ def _monomial_rule(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
     if (len(w) % 2 == 0 and np.array_equal(w[:h], w[h:])
             and np.max(np.abs(pts[h:] + pts[:h])) <= 8 * np.finfo(float).eps):
         pts, w = pts[:h], 2.0 * w[:h]
-    i, j = np.triu_indices(q.dim)
+    i, j = np.triu_indices(pts.shape[1])
     return (pts[:, i] * pts[:, j]).T, w
 
 

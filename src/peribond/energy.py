@@ -11,7 +11,8 @@ deterministic.
 A bond sum gathers v(x + xi) - v(x) and scatters gradients in one of two
 ways, chosen by the pair set's size, with bit-identical results.  A set of one
 run of offsets (see ``_RUN_BONDS``) multiplies by its signed incidence matrix
-D and by D^T; a larger set uses slice arithmetic and slice adds per offset.
+D, and a gradient by D^T, which the first gradient pass forms; a larger set
+uses slice arithmetic and slice adds per offset.
 
 Every pass keeps its per-bond temporaries in scratch rows sized to the
 largest run, allocated once per call or once per minimization: at 18,488
@@ -112,8 +113,15 @@ class _Run:
             k += o.n
 
 
-class _Incidence:
-    """The signed bond-node incidence matrix D of a pair set, and its transpose.
+class PairSet:
+    """Unordered active-node pairs within a cutoff radius on a uniform grid.
+
+    Pairs are held per integer offset, in sorted offset order: each offset
+    carries its exact bond vector and length and the two blocks of the
+    active nodes' bounding box that it connects.  Every bond sum visits the
+    bonds offset by offset, and within an offset in node order.  A set whose
+    offsets form a single run also holds its signed bond-node incidence
+    matrix ``_D``, which bond sums use in place of the per-offset slices.
 
     Row k of D holds +1 at the head of bond k and then -1 at its tail, so
     D v is v(head) - v(tail) exactly: scipy's CSR product sums each row from
@@ -123,31 +131,8 @@ class _Incidence:
     head is the node before the bond whose tail is.
     """
 
-    def __init__(self, tails: np.ndarray, heads: np.ndarray, n_nodes: int):
-        from scipy import sparse  # here, not at the top: most runs build no such set
-        n = len(tails)
-        nodes = np.empty(2 * n, dtype=np.int32)
-        nodes[0::2], nodes[1::2] = heads, tails
-        self.D = sparse.csr_array((np.tile([1.0, -1.0], n), nodes,
-                                   np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
-                                  shape=(n, n_nodes))
-        self.Dt = self.D.T.tocsr()
-
-
-class PairSet:
-    """Unordered active-node pairs within a cutoff radius on a uniform grid.
-
-    Pairs are held per integer offset, in sorted offset order: each offset
-    carries its exact bond vector and length and the two blocks of the
-    active nodes' bounding box that it connects.  Every bond sum visits the
-    bonds offset by offset, and within an offset in node order.  A set whose
-    offsets form a single run also holds its signed incidence matrix, which
-    bond sums use in place of the per-offset slices.
-    """
-
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
         self.grid = grid
-        h = grid.h
         active = np.asarray(active, dtype=bool).reshape(grid.shape)
 
         offsets: list[_Offset] = []
@@ -156,16 +141,12 @@ class PairSet:
             lo = [int(a.min()) for a in nonzero]
             hi = [int(a.max()) + 1 for a in nonzero]
             dense = bool(active[tuple(map(slice, lo, hi))].all())
-            caps = np.minimum(np.floor(radius / h + 1e-12).astype(int),
+            caps = np.minimum(np.floor(radius / grid.h + 1e-12).astype(int),
                               np.subtract(hi, lo) - 1)
-            ranges = [range(-c, c + 1) for c in caps]
-            ranges[0] = range(0, caps[0] + 1)  # lexicographically positive only
-            for o in itertools.product(*ranges):  # already in sorted order
-                if all(c == 0 for c in o):
+            for o in itertools.product(*(range(-c, c + 1) for c in caps)):  # sorted
+                if o <= (0,) * grid.dim:  # lexicographically positive only
                     continue
-                if o[0] == 0 and next(c for c in o if c != 0) < 0:
-                    continue
-                xi = np.asarray(o) * h
+                xi = np.asarray(o) * grid.h
                 r = float(np.linalg.norm(xi))
                 if r > radius + 1e-12:
                     continue
@@ -186,15 +167,24 @@ class PairSet:
             if held >= _RUN_BONDS or k == len(offsets) - 1:
                 self._runs.append(_Run(offsets[start:k + 1]))
                 start, held = k + 1, 0
-        self._n = sum(run.n for run in self._runs)
-        self._incidence = None
+        self._D = None
         if len(self._runs) == 1:
+            from scipy import sparse  # here, not at the top: most runs build no such set
+            n = len(self)
             tails, heads = zip(*map(self._nodes, offsets))
-            self._incidence = _Incidence(np.concatenate(tails), np.concatenate(heads),
-                                         grid.n_nodes)
+            nodes = np.empty(2 * n, dtype=np.int32)
+            nodes[0::2], nodes[1::2] = np.concatenate(heads), np.concatenate(tails)
+            self._D = sparse.csr_array((np.tile([1.0, -1.0], n), nodes,
+                                        np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
+                                       shape=(n, grid.n_nodes))
 
     def __len__(self) -> int:
-        return self._n
+        return sum(run.n for run in self._runs)
+
+    @cached_property
+    def _Dt(self):
+        """D^T, formed by the first gradient scatter: no other pass reads it."""
+        return self._D.T.tocsr()
 
     @cached_property
     def _index(self) -> np.ndarray:
@@ -270,9 +260,9 @@ def _bond_runs(pairs: PairSet, values: np.ndarray, buf: _Scratch
     shaped = columns.reshape(d, *pairs.grid.shape)
     for run in pairs._runs:
         dv = buf.dv[:d * run.n].reshape(d, run.n)
-        if pairs._incidence is not None:  # then this is the only run
+        if pairs._D is not None:  # then this is the only run
             for row, col in zip(dv, columns):
-                row[...] = pairs._incidence.D @ col
+                row[...] = pairs._D @ col
         else:
             for o, seg in run.segments(dv):
                 head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
@@ -287,9 +277,9 @@ def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> N
     """Add a run's component-major (d, n) bond block to the nodal block
     ``out`` of shape (d, *grid.shape): plus at each bond's head, minus at its
     tail, in offset-major, node-minor order."""
-    if pairs._incidence is not None:
+    if pairs._D is not None:
         for col, add in zip(out.reshape(len(bonds), -1), bonds):
-            col += pairs._incidence.Dt @ add
+            col += pairs._Dt @ add
         return
     d = len(bonds)
     for o, seg in run.segments(bonds):
@@ -360,10 +350,8 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
             dv *= np.divide(coeff, np.multiply(norm_dv, r, out=buf.row(3, n)), out=div,
                             where=np.greater(norm_dv, 0, out=buf.row(1, n, bool)))
             _scatter(pairs, run, dv, out)
-    grad = VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
-    if not energy:
-        return None, grad
-    return EnergyReport(w2 * total, 2 * len(pairs), g.h), grad
+    rep = EnergyReport(w2 * total, 2 * len(pairs), g.h) if energy else None
+    return rep, VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
 
 
 def energy_Fn(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,

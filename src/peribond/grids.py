@@ -169,11 +169,7 @@ class VectorField:
 
 def field_from_function(grid: Grid, f) -> VectorField:
     """Sample ``f`` (mapping (N, d) points to (N, d) vectors) at the nodes."""
-    x = grid.nodes()
-    vals = np.asarray(f(x), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return VectorField(grid, vals)
+    return VectorField(grid, f(grid.nodes()))
 
 
 def affine_field(grid: Grid, F: np.ndarray) -> VectorField:
@@ -190,7 +186,6 @@ class SphereQuadrature:
     the surface average of f.
     """
 
-    dim: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -231,4 +226,4 @@ def sphere_quadrature(d: int, order: int) -> SphereQuadrature:
         w = np.repeat(wmu / 2.0, n_phi) / n_phi
     else:
         raise ValueError(f"unsupported dimension {d}")
-    return SphereQuadrature(d, pts, w)
+    return SphereQuadrature(pts, w)

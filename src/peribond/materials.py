@@ -9,7 +9,7 @@ small-strain regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -49,7 +49,10 @@ class Potential:
     p: float
     C0: float
     C1: float
-    smooth_at_zero: bool = True
+    smooth_at_zero: bool = field(init=False)  # Phi'(0) = 0, as F_n's gradient needs
+
+    def __post_init__(self):
+        object.__setattr__(self, "smooth_at_zero", bool(self.deriv(np.asarray(0.0)) == 0))
 
     def __call__(self, a) -> np.ndarray | float:
         a = np.asarray(a, dtype=float)
@@ -69,9 +72,7 @@ def power_potential(p: float, scale: float = 1.0) -> Potential:
     return Potential(
         func=lambda a, s=scale, q=p: s * a**q,
         deriv=lambda a, s=scale, q=p: s * q * np.maximum(a, 0.0) ** (q - 1),
-        p=p, C0=scale, C1=scale,
-        smooth_at_zero=True,
-    )
+        p=p, C0=scale, C1=scale)
 
 
 #: quartic St. Venant integrand (|Dv|^2 - 1)^2 expressed as Phi(|s_2|) with

@@ -67,8 +67,11 @@ class MinimizeResult:
     energy_trace: np.ndarray
     grad_norm: float
     iterations: int
-    converged: bool
     stop_reason: str  # "converged", "line_search_failed" or "max_iters"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 class _TwoLoop:
@@ -111,8 +114,6 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     descent ended: the gradient tolerance was met, no trial step lowered the
     energy (or every step rounded away), or ``max_iters`` ran out.
     """
-    if not prob.phi.smooth_at_zero:
-        raise ValueError("minimization requires a profile differentiable at 0")
     grid = prob.mask.grid
     tol = _GRAD_TOL_1D if grid.dim == 1 else _GRAD_TOL
     if pairs is None:
@@ -133,10 +134,9 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
     e, gr = energy_grad(vals)
     trace = [e]
     qn = _TwoLoop()
-    converged = float(np.max(np.abs(gr))) <= tol
     stop_reason = "max_iters"
     it = 0
-    while not converged and it < prob.max_iters:
+    while not (grad_norm := float(np.max(np.abs(gr)))) <= tol and it < prob.max_iters:
         it += 1
         d = qn.direction(gr.ravel()).reshape(gr.shape)
         slope = float(np.sum(d * gr))
@@ -161,11 +161,9 @@ def minimize_Fng(prob: DirichletProblem, v0: VectorField | None = None,
         qn.push((cand - vals).ravel(), (gr_new - gr).ravel())
         vals, e, gr = cand, e_new, gr_new
         trace.append(e)
-        converged = float(np.max(np.abs(gr))) <= tol
-    if converged:
+    if grad_norm <= tol:
         stop_reason = "converged"
-    return MinimizeResult(VectorField(grid, vals), np.asarray(trace),
-                          float(np.max(np.abs(gr))), it, converged, stop_reason)
+    return MinimizeResult(VectorField(grid, vals), np.asarray(trace), grad_norm, it, stop_reason)
 
 
 def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:
@@ -192,12 +190,8 @@ def default_starts(prob: DirichletProblem, seed: int = 0) -> list[VectorField]:
 def minimize_multistart(prob: DirichletProblem, seed: int = 0) -> MinimizeResult:
     """Best-of minimization over the standard starts (the energy is nonconvex)."""
     pairs = build_pairs(prob.mask.grid, prob.mask, prob.kernel.support_radius)
-    best = None
-    for v0 in default_starts(prob, seed):
-        res = minimize_Fng(prob, v0, pairs=pairs)
-        if best is None or res.energy_trace[-1] < best.energy_trace[-1]:
-            best = res
-    return best
+    return min((minimize_Fng(prob, v0, pairs=pairs) for v0 in default_starts(prob, seed)),
+               key=lambda res: res.energy_trace[-1])  # the first of equal ones
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +260,9 @@ def _discrete_gradients(v: VectorField) -> np.ndarray:
     """Per-node gradient matrices by central differences, shape (N, d, d)."""
     g = v.grid
     d = g.dim
-    vals = v.values.reshape(*g.shape, d)
-    out = np.empty((g.n_nodes, d, d))
-    for c in range(d):
-        gr = np.gradient(vals[..., c], g.h, axis=tuple(range(d)), edge_order=1)
-        gr = [np.asarray(x) for x in np.atleast_1d(gr)] if d > 1 else [np.asarray(gr)]
-        for a in range(d):
-            out[:, c, a] = gr[a].ravel()
-    return out
+    grads = np.gradient(v.values.reshape(*g.shape, d), g.h, axis=tuple(range(d)),
+                        edge_order=1)
+    return np.stack(grads if d > 1 else [grads], axis=-1).reshape(g.n_nodes, d, d)
 
 
 def localization_experiment(g_datum: Callable[[np.ndarray], np.ndarray] | np.ndarray,

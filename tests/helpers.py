@@ -79,8 +79,7 @@ def tabulated_potential(a: np.ndarray, phi: np.ndarray, p: float,
         idx = np.clip(np.searchsorted(a, x) - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
-    smooth = slopes[0] <= 1e-10
-    return Potential(func, deriv, p, C0, C1, smooth_at_zero=smooth)
+    return Potential(func, deriv, p, C0, C1)
 
 
 def custom_radial(d: int, profile, support_radius: float) -> Kernel:

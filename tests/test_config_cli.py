@@ -210,6 +210,9 @@ class TestSchema:
         cfg = validate_config(parse_config(write(tmp_path, "c.json", {
             "experiment": "rigidity", "seed": 2.0})))
         assert cfg["seed"] == 2 and isinstance(cfg["seed"], int)
+        cfg = validate_config(parse_config(write(tmp_path, "c.json", {
+            "experiment": "rigidity", "seed": 2**64 - 1})))
+        assert cfg["seed"] == 2**64 - 1  # integers are not parsed as floats
         assert cfg["rigidity"] == {"trials": 5, "resolution": 64}
         assert cfg["strain_m"] == 1
         cfg = validate_config(parse_config(write(tmp_path, "c.json", GOOD_DENSITY)))
@@ -251,12 +254,21 @@ class TestCliExitCodes:
          .replace("Infinity", "1e999"), "1e999"),
         (json.dumps({**GOOD_MINIMIZE, "minimize": {"datum": [-float("inf")], "max_iters": 20}})
          .replace("Infinity", "1e400"), "-1e400"),
+        (json.dumps({"experiment": "energy", "domain": DOMAIN_1D,
+                     "kernel": {"family": "box", "delta": "BIG"},
+                     "potential": {"profile": "power", "p": 2.0}})
+         .replace('"BIG"', "1" + "0" * 400), "1" + "0" * 400),
+        (json.dumps({**GOOD_MINIMIZE, "minimize": {"datum": [1.0], "max_iters": "BIG"}})
+         .replace('"BIG"', "-" + "9" * 4301), "-" + "9" * 4301),
     ], ids=["linearize_eps_inf", "linearize_eps_nan", "energy_delta_inf", "datum_minus_inf",
-            "linearize_eps_1e999", "energy_delta_1e999", "datum_minus_1e400"])
+            "linearize_eps_1e999", "energy_delta_1e999", "datum_minus_1e400",
+            "energy_delta_401_digits", "max_iters_4301_digits"])
     def test_non_finite_number_is_a_parse_error(self, tmp_path, capsys, cfg, constant):
         # json.dumps writes inf and nan as these constants, and json.load
         # would read them back, as it reads a number that overflows to
-        # infinity; a config holds finite numbers only
+        # infinity; an integer past float range would fail in float(), or
+        # past int's digit limit in json.load itself; a config holds finite
+        # numbers only
         cfg = write(tmp_path, "c.json", cfg)
         assert constant in Path(cfg).read_text()
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2

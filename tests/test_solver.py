@@ -1,16 +1,19 @@
 """Constrained minimization, the small-displacement convergence driver and
 the concentrating-kernel localization driver."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import peribond.solver
 from peribond.energy import energy_Fn, gradient_Fn
-from peribond.grids import (Grid, SubdomainMask, affine_field, box_grid,
+from peribond.grids import (Grid, SubdomainMask, VectorField, affine_field, box_grid,
                             field_from_function, full_mask)
 from peribond.kernels import box_kernel, box_sequence, make_rescaled
-from peribond.materials import catalog_potential, power_potential
-from peribond.solver import (DirichletProblem, linearization_experiment,
+from peribond.materials import Potential, catalog_potential, power_potential
+from peribond.solver import (DirichletProblem, _discrete_gradients, linearization_experiment,
                              localization_experiment, minimize_Fng,
                              minimize_multistart)
 
@@ -113,6 +116,25 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize_Fng(problem_1d(1.0, phi=phi))
 
+    @pytest.mark.parametrize("slope", [0.0, 0.5])
+    def test_smoothness_is_read_from_the_profile(self, slope):
+        # a profile built directly, Phi(a) = a^2 + slope a: only Phi'(0) = 0
+        # gives F_n a nodal gradient, and no caller declares it
+        phi = Potential(lambda a: a**2 + slope * a, lambda a: 2.0 * a + slope,
+                        p=2.0, C0=1.0, C1=1.0 + slope)
+        assert phi.smooth_at_zero == (slope == 0.0)
+        prob = problem_1d(1.2, n=32, phi=phi)
+        if slope:
+            with pytest.raises(ValueError, match=r"Phi'\(0\+\) > 0"):
+                gradient_Fn(prob.g, prob.mask, prob.kernel, phi, prob.m)
+            with pytest.raises(ValueError, match=r"Phi'\(0\+\) > 0"):
+                minimize_Fng(prob)
+        else:
+            grad = gradient_Fn(prob.g, prob.mask, prob.kernel, phi, prob.m).values
+            assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+            res = minimize_Fng(prob)
+            assert res.energy_trace[-1] <= res.energy_trace[0]
+
     def test_2d_shear_datum(self):
         g = box_grid(2, 0.0, 1.0, 24)
         mask = full_mask(g, collar_width=0.15)
@@ -168,6 +190,7 @@ class TestStopReason:
         prob = wavy_problem_1d()
         res = minimize_Fng(prob)
         assert res.stop_reason == "converged"
+        assert res.converged and "converged" not in vars(res)  # read from stop_reason
         assert res.iterations > 5
         g = gradient_Fn(res.v, prob.mask, prob.kernel, prob.phi, prob.m).values
         assert res.grad_norm == float(np.max(np.abs(g[prob.free])))
@@ -204,6 +227,41 @@ class TestLinearization:
                                          support_radius=0.2)
         assert table.rows[0].flagged
         assert not table.rows[1].flagged
+
+
+def gradients_by_component(v):
+    """Per-node central-difference gradients one component at a time: the
+    loop that ``_discrete_gradients`` replaced, kept as its reference."""
+    g = v.grid
+    d = g.dim
+    vals = v.values.reshape(*g.shape, d)
+    out = np.empty((g.n_nodes, d, d))
+    for c in range(d):
+        gr = np.gradient(vals[..., c], g.h, axis=tuple(range(d)), edge_order=1)
+        gr = [np.asarray(x) for x in np.atleast_1d(gr)] if d > 1 else [np.asarray(gr)]
+        for a in range(d):
+            out[:, c, a] = gr[a].ravel()
+    return out
+
+
+class TestDiscreteGradients:
+    @pytest.mark.parametrize("d,n", [(1, 17), (2, 9), (3, 5)])
+    def test_equals_per_component_loop(self, d, n):
+        g = Grid(d, -0.3, 1.7, n)
+        rng = np.random.default_rng(d)
+        x = g.nodes()
+        v = VectorField(g, np.sin(3.0 * x) * x[:, ::-1] + 0.1 * rng.standard_normal(x.shape))
+        np.testing.assert_array_equal(_discrete_gradients(v), gradients_by_component(v))
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 7, 4), (2, 3, 2)])
+    def test_equals_per_component_loop_on_boxes(self, shape):
+        # a cube grid has one cell count; the function reads only the grid's
+        # shape and spacing, so a stand-in grid tries unequal axes
+        d = len(shape)
+        g = SimpleNamespace(dim=d, shape=shape, h=0.3, n_nodes=math.prod(shape))
+        rng = np.random.default_rng(len(shape) + shape[0])
+        v = SimpleNamespace(grid=g, values=np.exp(rng.standard_normal((g.n_nodes, d))))
+        np.testing.assert_array_equal(_discrete_gradients(v), gradients_by_component(v))
 
 
 class TestLocalization:
