@@ -10,9 +10,9 @@ deterministic.
 
 A bond sum gathers v(x + xi) - v(x) and scatters gradients in one of two
 ways, chosen by the pair set's size, with bit-identical results.  A set of one
-run of offsets (see ``_RUN_BONDS``) multiplies by its signed incidence matrix
-D, and a gradient by D^T, which the first gradient pass forms; a larger set
-uses slice arithmetic and slice adds per offset.
+run of offsets (see ``_RUN_BONDS``) gathers through the index array of its
+bond ends with ``np.take`` and scatters with one ``np.bincount`` per
+component; a larger set uses slice arithmetic and slice adds per offset.
 
 Every pass keeps its per-bond temporaries in scratch rows sized to the
 largest run, allocated once per call or once per minimization: at 18,488
@@ -41,10 +41,10 @@ from .materials import MicroPotential, Potential, _strain
 #: bonds.  One offset at a time costs a profile and potential call per offset,
 #: which dominates on small grids with many short offsets; all bonds at once
 #: holds several (d, P) temporaries and raises peak memory on large grids.
-#: Only a set of one run gathers and scatters through its incidence matrix:
-#: a fused pass over 18k bonds takes 1.3 ms that way against 2.1 ms by
-#: slices, but one over 162k bonds 11.3 ms against 8.0 ms, and the two
-#: matrices store 52 bytes a bond.
+#: Only a set of one run gathers and scatters through its array of bond
+#: ends: a workspace pass over 18k bonds takes 0.45 ms that way against
+#: 0.82 ms by slices, but one over 240k bonds 8.2 ms against 6.2 ms, and the
+#: array holds 16 bytes a bond.
 _RUN_BONDS = 1 << 15
 _ALL = slice(None)
 
@@ -120,15 +120,14 @@ class PairSet:
     carries its exact bond vector and length and the two blocks of the
     active nodes' bounding box that it connects.  Every bond sum visits the
     bonds offset by offset, and within an offset in node order.  A set whose
-    offsets form a single run also holds its signed bond-node incidence
-    matrix ``_D``, which bond sums use in place of the per-offset slices.
+    offsets form a single run also holds ``_ends``, the flat node indices of
+    its bond ends in bond order: the head of bond k at 2k and its tail at
+    2k + 1.  Bond sums use it in place of the per-offset slices.
 
-    Row k of D holds +1 at the head of bond k and then -1 at its tail, so
-    D v is v(head) - v(tail) exactly: scipy's CSR product sums each row from
-    0 in stored order, and a product with +-1 is exact.  Each row of D^T lists
-    the node's bonds in bond order, so D^T c adds a node's terms in the order
-    of the slice scatter: offset-major, and within an offset the bond whose
-    head is the node before the bond whose tail is.
+    ``np.bincount`` adds its weights into each node in entry order from 0, so
+    +c at heads and -c at tails add a node's terms in the order of the slice
+    scatter: offset-major, and within an offset the bond whose head is the
+    node before the bond whose tail is.
     """
 
     def __init__(self, grid: Grid, active: np.ndarray, radius: float):
@@ -167,24 +166,13 @@ class PairSet:
             if held >= _RUN_BONDS or k == len(offsets) - 1:
                 self._runs.append(_Run(offsets[start:k + 1]))
                 start, held = k + 1, 0
-        self._D = None
+        self._ends = None
         if len(self._runs) == 1:
-            from scipy import sparse  # here, not at the top: most runs build no such set
-            n = len(self)
             tails, heads = zip(*map(self._nodes, offsets))
-            nodes = np.empty(2 * n, dtype=np.int32)
-            nodes[0::2], nodes[1::2] = np.concatenate(heads), np.concatenate(tails)
-            self._D = sparse.csr_array((np.tile([1.0, -1.0], n), nodes,
-                                        np.arange(0, 2 * n + 1, 2, dtype=np.int32)),
-                                       shape=(n, grid.n_nodes))
+            self._ends = np.column_stack([np.concatenate(heads), np.concatenate(tails)]).ravel()
 
     def __len__(self) -> int:
         return sum(run.n for run in self._runs)
-
-    @cached_property
-    def _Dt(self):
-        """D^T, formed by the first gradient scatter: no other pass reads it."""
-        return self._D.T.tocsr()
 
     @cached_property
     def _index(self) -> np.ndarray:
@@ -226,12 +214,15 @@ _FN_ROWS = 6
 class _Scratch:
     """Per-bond buffers for passes over one pair set, sized to its largest
     run: ``rows`` rows of temporaries and a component-major bond block.
-    Each run of a pass overwrites them."""
+    Each run of a pass overwrites them.  A set of one run gathers its (n, 2, d)
+    bond-end values into the first 2d rows before a pass reads a row, and
+    puts its scatter weights in the first two once the pass is done."""
 
     def __init__(self, pairs: PairSet, rows: int):
         n = max((run.n for run in pairs._runs), default=0)
-        self.temps = np.empty((rows, n))
-        self.dv = np.empty(pairs.grid.dim * n)
+        d = pairs.grid.dim
+        self.temps = np.empty((rows if pairs._ends is None else max(rows, 2 * d), n))
+        self.dv = np.empty(d * n)
 
     def row(self, slot: int, n: int, dtype: type = float) -> np.ndarray:
         """The first n values of row ``slot`` (negative counts from the last),
@@ -256,30 +247,36 @@ def _bond_runs(pairs: PairSet, values: np.ndarray, buf: _Scratch
     order.  Component-major keeps every per-bond reduction over components a
     sum of contiguous rows."""
     d = values.shape[1]
-    columns = np.ascontiguousarray(values.T)
-    shaped = columns.reshape(d, *pairs.grid.shape)
+    if pairs._ends is not None:  # then there is one run
+        run, = pairs._runs
+        at = buf.temps[:2 * d].reshape(run.n, 2, d)
+        # "clip" writes into out directly; indices are in range
+        np.take(values, pairs._ends, axis=0, out=at.reshape(2 * run.n, d), mode="clip")
+        yield run, np.subtract(at[:, 0].T, at[:, 1].T, out=buf.dv.reshape(d, run.n))
+        return
+    shaped = np.ascontiguousarray(values.T).reshape(d, *pairs.grid.shape)
     for run in pairs._runs:
         dv = buf.dv[:d * run.n].reshape(d, run.n)
-        if pairs._D is not None:  # then this is the only run
-            for row, col in zip(dv, columns):
-                row[...] = pairs._D @ col
-        else:
-            for o, seg in run.segments(dv):
-                head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
-                if o.keep is None:
-                    np.subtract(head, tail, out=seg.reshape(d, *o.shape))
-                else:
-                    seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
+        for o, seg in run.segments(dv):
+            head, tail = shaped[(_ALL, *o.dst)], shaped[(_ALL, *o.src)]
+            if o.keep is None:
+                np.subtract(head, tail, out=seg.reshape(d, *o.shape))
+            else:
+                seg[...] = (head - tail).reshape(d, -1)[:, o.keep]
         yield run, dv
 
 
-def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray) -> None:
+def _scatter(pairs: PairSet, run: _Run, bonds: np.ndarray, out: np.ndarray,
+             buf: _Scratch) -> None:
     """Add a run's component-major (d, n) bond block to the nodal block
     ``out`` of shape (d, *grid.shape): plus at each bond's head, minus at its
     tail, in offset-major, node-minor order."""
-    if pairs._D is not None:
+    if pairs._ends is not None:
+        at = buf.temps[:2].reshape(run.n, 2)
         for col, add in zip(out.reshape(len(bonds), -1), bonds):
-            col += pairs._Dt @ add
+            at[:, 0] = add
+            np.negative(add, out=at[:, 1])
+            col += np.bincount(pairs._ends, weights=at.ravel(), minlength=len(col))
         return
     d = len(bonds)
     for o, seg in run.segments(bonds):
@@ -349,7 +346,7 @@ def _Fn_pass(v: VectorField, A: SubdomainMask, kernel: Kernel, phi: Potential,
             r = run.per_bond(run.r, buf.row(3, n)) if one_off else r
             dv *= np.divide(coeff, np.multiply(norm_dv, r, out=buf.row(3, n)), out=div,
                             where=np.greater(norm_dv, 0, out=buf.row(1, n, bool)))
-            _scatter(pairs, run, dv, out)
+            _scatter(pairs, run, dv, out, buf)
     rep = EnergyReport(w2 * total, 2 * len(pairs), g.h) if energy else None
     return rep, VectorField(g, out.reshape(g.dim, g.n_nodes).T) if gradient else None
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -211,6 +210,7 @@ def sphere_quadrature(d: int, order: int) -> SphereQuadrature:
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         w = np.full(order, 1.0 / order)
     elif d == 3:
+        from numpy.polynomial.legendre import leggauss  # here: it loads numpy.polynomial
         mu, wmu = leggauss(order)
         n_phi = 2 * order
         phi = (np.arange(n_phi) + 0.5) * (2 * np.pi / n_phi)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 #: surface area of the unit sphere S^{d-1}
 SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -33,6 +32,7 @@ def radial_integral(f, r_min: float, r_max: float, d: int) -> float:
     """
     if r_max <= r_min:
         return 0.0
+    from numpy.polynomial.legendre import leggauss  # here: it loads numpy.polynomial
     x, w = leggauss(32)
     total = 0.0
     pieces = []

@@ -1,6 +1,7 @@
 """Scenario-config validation and the command-line runner: exit codes,
 artifacts, determinism and error reporting."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -230,6 +231,22 @@ class TestCliExitCodes:
         cfg = write(tmp_path, "c.json", GOOD_SAWTOOTH)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_sawtooth_one_percent_off_fails(self, tmp_path, capsys, monkeypatch):
+        # at the default h = delta/32 the error is 1.03e-3; 1e-2 is a wrong value
+        exact = peribond.cli.sawtooth_energy
+
+        def off(*args):
+            r = exact(*args)
+            assert r.h == r.delta / 32
+            return dataclasses.replace(r, value=1.01 * r.expected, rel_error=0.01)
+
+        monkeypatch.setattr(peribond.cli, "sawtooth_energy", off)
+        out = tmp_path / "out"
+        assert main(["run", write(tmp_path, "c.json", GOOD_SAWTOOTH), "--out", str(out)]) == 1
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["contracts"] == {"closed_form_match": False}
 
     def test_parse_error_is_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.json", "{oops")
@@ -491,11 +508,32 @@ class TestConsoleScript:
         assert "pass" in proc.stdout
 
     def test_import_loads_no_scipy_submodule(self, child_env):
-        # scipy.ndimage and scipy.sparse load only where they run
+        # scipy.ndimage loads only where it runs, and numpy.polynomial only
+        # where a Gauss-Legendre rule is built
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, peribond, peribond.cli; print(sorted("
-             "m for m in ('scipy.ndimage', 'scipy.sparse') if m in sys.modules))"],
+             "import sys, numpy; before = set(sys.modules); import peribond, peribond.cli; "
+             "print(sorted(m for m in set(sys.modules) - before "
+             "if m.startswith(('scipy.ndimage', 'scipy.sparse', 'numpy.polynomial'))))"],
             capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_minimizers_load_no_scipy_sparse(self, tmp_path, child_env):
+        # one-run pair sets gather and scatter through numpy index arrays:
+        # the shipped localize run and a 2D multistart never import scipy.sparse
+        config = Path(__file__).resolve().parents[1] / "configs" / "localize.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import numpy as np; import peribond as pb; "
+             "from peribond.cli import main; "
+             "assert main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+             "g = pb.box_grid(2, 0.0, 1.0, 22); "
+             "prob = pb.DirichletProblem(pb.full_mask(g, 0.125), "
+             "pb.affine_field(g, np.array([[1.2, 0.1], [0.0, 0.9]])), "
+             "pb.make_rescaled(pb.box_kernel(2), 0.125), pb.power_potential(2.0)); "
+             "pb.minimize_multistart(prob); print('scipy.sparse' in sys.modules)",
+             str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"

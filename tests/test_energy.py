@@ -652,8 +652,8 @@ class TestStretches:
 
 
 class TestIncidencePath:
-    """A pair set of one run gathers and scatters through its signed
-    incidence matrix; every bond sum equals the slice path's bit for bit."""
+    """A pair set of one run gathers and scatters through its array of bond
+    ends; every bond sum equals the slice path's bit for bit."""
 
     @staticmethod
     def _mask(g, kind, radius):
@@ -675,9 +675,10 @@ class TestIncidencePath:
         mask = self._mask(g, kind, radius)
         fast = listed_pairs(g, mask, radius)
         slow = listed_pairs(g, mask, radius)
-        slow._D = None
-        assert len(fast._runs) == 1 and fast._D.nnz == 2 * len(fast)
-        assert fast._Dt.nnz == 2 * len(fast)
+        slow._ends = None
+        assert len(fast._runs) == 1
+        # head then tail of each bond, in bond order
+        assert np.array_equal(fast._ends, np.column_stack([fast.j, fast.i]).ravel())
         assert (kind == "holed_box") == any(o.keep is not None for o in fast._runs[0].offsets)
 
         rng = np.random.default_rng(90 + d)
@@ -721,36 +722,10 @@ class TestIncidencePath:
             errors.append(info.value.pair)
         assert errors[0] == errors[1] == (i, j)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_transpose_formed_by_first_gradient_pass(self, d, monkeypatch):
-        import peribond.energy
-
-        n, radius = TestStencilEquivalence.SIZES[d]
-        g = box_grid(d, 0.0, 1.0, n)
-        mask = self._mask(g, "holed_box", radius)
-        pairs = build_pairs(g, mask, radius)
-        assert pairs._D is not None and "_Dt" not in vars(pairs)
-        x = g.nodes()
-        v = VectorField(g, 1.1 * x + 0.01 * np.sin(5 * x))
-        kernel = make_rescaled(box_kernel(d), radius)
-        w, phi = catalog_potential("quartic"), power_potential(2.0)
-        energy_Fn(v, mask, kernel, phi, pairs=pairs)
-        seminorm_W(v, kernel, 2.0, pairs=pairs)
-        energy_E0(v, kernel, pairs=pairs)
-        energy_E_eps(v, w, 1.0, 0.1, pairs=pairs)
-        monkeypatch.setattr(peribond.energy, "build_pairs", lambda *args: pairs)
-        linearization_experiment(v, w, 1.0, (0.2, 0.1), support_radius=radius)
-        assert "_Dt" not in vars(pairs)  # no gradient-free pass forms D^T
-        gradient_Fn(v, mask, kernel, phi, pairs=pairs)
-        Dt = vars(pairs)["_Dt"]
-        assert Dt.shape == pairs._D.shape[::-1]
-        energy_gradient_Fn(v, mask, kernel, phi, pairs=pairs)
-        assert vars(pairs)["_Dt"] is Dt
-
     def test_selection_by_run_count(self):
         g = box_grid(2, 0.0, 1.0, 128)
         pairs = build_pairs(g, box_subdomain(g, 0.05, collar_width=0.04), 0.04)
-        assert len(pairs._runs) > 1 and pairs._D is None
+        assert len(pairs._runs) > 1 and pairs._ends is None
 
 
 class TestWorkspace:
@@ -781,7 +756,7 @@ class TestWorkspace:
             monkeypatch.setattr(peribond.energy, "_RUN_BONDS", 10)
         g, mask, pairs, kernel, v = self._setup(d, kind, 120 + d)
         assert (len(pairs._runs) > 1) == (runs == "many")
-        assert (pairs._D is None) == (runs == "many")
+        assert (pairs._ends is None) == (runs == "many")
         assert (kind == "holed_box") == any(o.keep is not None
                                             for run in pairs._runs for o in run.offsets)
         assert len({run.n for run in pairs._runs}) > 1 or runs == "one"
