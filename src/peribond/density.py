@@ -4,7 +4,10 @@ The limit density of the vanishing-horizon energy is known only through a
 sandwich: a spherical-average lower bound with positive-part argument, the
 plain spherical average, and a rank-one lamination upper bound standing in
 for the quasiconvexification.  Everything here depends on a matrix F only
-through its singular values.
+through its singular values, and every average is taken in the eigenbasis
+of C = F^T F: there |F w|^2 = sum_i lambda_i w_i^2, so single, batch and
+laminate calls integrate the same function of the same numbers, and the
+result is the same for F and U' F U'' with U', U'' orthogonal.
 """
 
 from __future__ import annotations
@@ -22,107 +25,103 @@ def singular_values(F: np.ndarray) -> np.ndarray:
     return np.linalg.svd(F, compute_uv=False)
 
 
-def _monomial_rule(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """The monomials w_i w_j, i <= j, at the nodes of ``q`` and their weights.
+def _orthant_rule(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The squared coordinates w_i^2 of the nodes of ``q`` and their weights.
 
-    Every integrand here is even in w.  Where node k + Q/2 of the rule is the
-    antipode of node k (the d = 2 rule at even order), the first half of the
-    nodes with doubled weights gives the same averages to rounding; any other
-    rule is used whole.  Shapes (k, Q) and (Q,), Q the nodes kept.
+    Every integrand here is a function of the w_i^2, so a rule symmetric
+    under each sign flip w_i -> -w_i gives the same averages from its nodes
+    in the closed positive orthant, each weighted by 2^(its nonzero
+    coordinates).  Coordinates within rounding of 0 count as 0.  Where the
+    folded weights do not sum to 1 the rule is not symmetric (the d = 2 rule
+    at odd order) and is used whole.  Shapes (d, Q) and (Q,).
     """
-    pts, w = q.points, q.weights
-    h = len(w) // 2
-    if (len(w) % 2 == 0 and np.array_equal(w[:h], w[h:])
-            and np.max(np.abs(pts[h:] + pts[:h])) <= 8 * np.finfo(float).eps):
-        pts, w = pts[:h], 2.0 * w[:h]
-    i, j = np.triu_indices(pts.shape[1])
-    return (pts[:, i] * pts[:, j]).T, w
+    pts = np.where(np.abs(q.points) <= 8 * np.finfo(float).eps, 0.0, q.points)
+    keep = np.all(pts >= 0.0, axis=1)
+    w = q.weights[keep] * 2.0 ** np.count_nonzero(pts[keep], axis=1)
+    if abs(w.sum() - 1.0) > 1e-12:
+        keep, w = slice(None), q.weights
+    return (pts[keep] ** 2).T, w
 
 
-def _sphere_average(coef: np.ndarray, phi: Potential, m: float,
+def _sphere_average(lam: np.ndarray, phi: Potential, m: float,
                     rule: tuple[np.ndarray, np.ndarray],
                     lower: bool = False) -> np.ndarray:
-    """Sphere average of Phi(m^-1 (|F w|^m - 1)) over a stack of Grams C = F^T F.
+    """Sphere average of Phi(m^-1 (|F w|^m - 1)) over a stack of matrices F.
 
-    Each matrix enters as one row of ``coef``: the coefficients (C_ii, 2 C_ij),
-    i < j, of the monomials w_i w_j, so that |F w|^2 = w^T C w is the row
-    times the monomials of a node in the ``_monomial_rule``.  With ``lower``
-    the argument takes its positive part, otherwise its absolute value.
-    Shape (B, k) -> (B,).
+    Each matrix enters as one row of ``lam``: the eigenvalues of F^T F in
+    descending order, so that |F w|^2 is the row times the squared
+    coordinates of a node of the ``_orthant_rule``.  With ``lower`` the
+    argument takes its positive part, otherwise its absolute value.
+    Shape (B, d) -> (B,).
     """
-    mono, w = rule
-    # rounding pushes w^T C w slightly below 0 when F is singular, and the
-    # fractional power would turn that into a NaN that np.argmin picks
-    t2 = np.maximum(coef @ mono, 0.0)
+    sq, w = rule
+    t2 = lam @ sq
     arg = ((t2 if m == 2 else t2 ** (m / 2)) - 1.0) / m
     arg = np.maximum(arg, 0.0) if lower else np.abs(arg)
     return phi(arg) @ w
 
 
-def _gram_rows(Fs: np.ndarray) -> np.ndarray:
-    """Monomial coefficients (C_ii, 2 C_ij) of C = F^T F, (B, d, d) -> (B, k).
+def _eig2(tr, diff, off, det) -> np.ndarray:
+    """Eigenvalues (descending) of 2 x 2 Grams C = G^T G, each given by
+    tr C, C_00 - C_11, 2 C_01 and det G; shape (..., 2).
 
-    C_ij is the dot product of columns i and j of F, summed elementwise: a
-    batched matmul costs far more per 2 x 2 matrix.
+    The larger is tr/2 + |(diff, off)|/2, a sum of nonnegative terms; the
+    smaller is det(G)^2 over it, which keeps its relative accuracy where G
+    is nearly singular and tr/2 - |(diff, off)|/2 would cancel.
     """
-    i, j = np.triu_indices(Fs.shape[-1])
-    return np.where(i == j, 1.0, 2.0) * np.sum(Fs[..., i] * Fs[..., j], axis=-2)
+    big = 0.5 * (tr + np.sqrt(diff * diff + off * off))
+    return np.stack([big, det * det / np.maximum(big, np.finfo(float).tiny)], axis=-1)
 
 
-def _canonical_rows(Fs: np.ndarray) -> np.ndarray:
-    """The ``_gram_rows`` of diag(sigma(F)), (B, d, d) -> (B, k).
-
-    The spherical averages depend on F only through its singular values, and
-    fixing the orientation keeps the quadrature error identical across the
-    orbit F -> U' F U'' instead of drifting with the integrand's kink position.
-    """
-    sig = np.linalg.svd(Fs, compute_uv=False)
-    return _gram_rows(sig[:, :, None] * np.eye(Fs.shape[-1]))
-
-
-def _rank_one_terms(sig: np.ndarray, a: np.ndarray,
-                    n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram of G = diag(sig) + s a (x) n in d = 2, as monomial coefficients.
-
-    G^T G = diag(sig^2) + s (b (x) n + n (x) b) + s^2 |a|^2 n (x) n with
-    b = diag(sig) a; this returns the rows of the two matrices that s and s^2
-    multiply, written out entry by entry.  (B, 2), (B, 2) -> (B, 3), (B, 3).
-    """
-    b0, b1 = sig[0] * a[:, 0], sig[1] * a[:, 1]
-    n0, n1 = n[:, 0], n[:, 1]
-    lin = 2.0 * np.stack([b0 * n0, b0 * n1 + b1 * n0, b1 * n1], axis=-1)
-    quad = (a[:, 0] ** 2 + a[:, 1] ** 2)[:, None] * np.stack(
-        [n0 * n0, 2.0 * n0 * n1, n1 * n1], axis=-1)
-    return lin, quad
+def _eigenvalues(Fs: np.ndarray) -> np.ndarray:
+    """Eigenvalues of F^T F in descending order, (B, d, d) -> (B, d): in
+    closed form for d <= 2, so those make no LAPACK call."""
+    if Fs.shape[-1] == 1:
+        return Fs[:, 0] ** 2
+    if Fs.shape[-1] > 2:
+        return np.linalg.svd(Fs, compute_uv=False) ** 2
+    (a, b), (c, e) = Fs[:, 0].T, Fs[:, 1].T
+    return _eig2(a * a + b * b + c * c + e * e, a * a + c * c - b * b - e * e,
+                 2.0 * (a * b + c * e), a * e - b * c)
 
 
 def _shear_averages(sig: np.ndarray, aa: np.ndarray, an: np.ndarray, mus: np.ndarray,
                     phi: Potential, m: float, rule: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """tilde(diag(sig) + mu a (x) n), shape (U, P), for every shear mu and each
-    pair of unit vectors a, n at the angles aa[k], an[k]; a batch holds as many
-    whole shears as fit in ``_LAMINATE_CHUNK`` rows times nodes, at least one."""
-    lin, quad = _rank_one_terms(sig, *(np.stack([np.cos(t), np.sin(t)], -1) for t in (aa, an)))
-    base = np.array([sig[0] ** 2, 0.0, sig[1] ** 2])
+    pair of unit vectors a, n at the angles aa[k], an[k].
+
+    With G = diag(sig) + mu a (x) n and C = G^T G, tr C, C_00 - C_11 and
+    2 C_01 are quadratics in mu and det G is linear in mu, with coefficients
+    set once per pair.  A batch holds as many whole shears as fit in
+    ``_LAMINATE_CHUNK`` averages times (nodes + 2), at least one.
+    """
+    (a0, a1), (n0, n1), (s0, s1) = (np.cos(aa), np.sin(aa)), (np.cos(an), np.sin(an)), sig
+    b0, b1 = s0 * a0, s1 * a1
+    step = max(1, _LAMINATE_CHUNK // ((len(rule[1]) + 2) * len(aa)))
+    # the pairs' coefficients repeated for a whole batch: flat arrays beat
+    # broadcasting shears against pairs at these sizes
+    coef = np.tile([2.0 * (b0 * n0 + b1 * n1), 2.0 * (b0 * n0 - b1 * n1), n0 * n0 - n1 * n1,
+                    2.0 * (b0 * n1 + b1 * n0), 2.0 * n0 * n1, s1 * a0 * n0 + s0 * a1 * n1],
+                   min(step, len(mus)))
     out = np.empty((len(mus), len(aa)))
-    step = max(1, _LAMINATE_CHUNK // (len(rule[1]) * len(aa)))
     for start in range(0, len(mus), step):
-        mu = mus[start:start + step, None, None]
-        out[start:start + step] = _sphere_average(
-            (base + mu * lin + mu * mu * quad).reshape(-1, 3), phi, m, rule).reshape(len(mu), -1)
+        mu = np.repeat(mus[start:start + step], len(aa))
+        tr1, diff1, diff2, off1, off2, det1 = coef[:, :len(mu)]
+        lam = _eig2(s0 * s0 + s1 * s1 + mu * (tr1 + mu),
+                    s0 * s0 - s1 * s1 + mu * (diff1 + mu * diff2),
+                    mu * (off1 + mu * off2), s0 * s1 + mu * det1)
+        out[start:start + step] = _sphere_average(lam, phi, m, rule).reshape(-1, len(aa))
     return out
 
 
 def density_lower(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 (|F w|^m - 1)_+): the lower bound density."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    return float(_sphere_average(_canonical_rows(F[None]), phi, m, _monomial_rule(q),
-                                 lower=True)[0])
+    return float(density_lower_batch(np.atleast_2d(F)[None], phi, m, q)[0])
 
 
 def density_tilde(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
     """Spherical average of Phi(m^-1 | |F w|^m - 1 |)."""
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    return float(_sphere_average(_canonical_rows(F[None]), phi, m, _monomial_rule(q))[0])
+    return float(density_tilde_batch(np.atleast_2d(F)[None], phi, m, q)[0])
 
 
 def closed_form_tilde_2d(F) -> float:
@@ -149,19 +148,20 @@ def zero_set_predicate(F) -> bool:
 def density_lower_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_lower over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_gram_rows(np.asarray(Fs, dtype=float)), phi, m,
-                           _monomial_rule(q), lower=True)
+    return _sphere_average(_eigenvalues(np.asarray(Fs, dtype=float)), phi, m,
+                           _orthant_rule(q), lower=True)
 
 
 def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_tilde over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_gram_rows(np.asarray(Fs, dtype=float)), phi, m,
-                           _monomial_rule(q))
+    return _sphere_average(_eigenvalues(np.asarray(Fs, dtype=float)), phi, m,
+                           _orthant_rule(q))
 
 
-#: laminate averages times kept quadrature nodes per batch: bounds the
-#: (B, Q) temporaries, and a batch that fits in cache beats a larger one
+#: laminate averages times (kept quadrature nodes + 2) per batch: bounds the
+#: (B, Q) temporaries and the per-average ones, and a batch that fits in
+#: cache beats a larger one
 _LAMINATE_CHUNK = 2**14
 
 
@@ -201,9 +201,7 @@ def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature) -> 
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape != (2, 2):
         raise ValueError("laminate search supports d = 2 only")
-    sig = np.linalg.svd(F, compute_uv=False)
-    F = np.diag(sig)
-    return _laminate_upper(sig, phi, m, q, density_lower(F, phi, m, q),
+    return _laminate_upper(singular_values(F), phi, m, q, density_lower(F, phi, m, q),
                            density_tilde(F, phi, m, q))
 
 
@@ -228,7 +226,7 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
     lams = np.linspace(0.0, 1.0, _N_LAMBDA)[1:-1]
     mags = np.linspace(_MAX_MAG / _N_MAG, _MAX_MAG, _N_MAG)
     angs = np.linspace(0.0, np.pi, _N_ANGLE, endpoint=False)
-    rule = _monomial_rule(q)
+    rule = _orthant_rule(q)
 
     def evaluate(lams, mags, shears, aa, an):
         # shears[:, i, j] = ((1-lam_i) mag_j, -lam_i mag_j) and aa[k], an[k]
@@ -253,9 +251,7 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
               * np.stack([(_N_LAMBDA - 1 - ks) * js, -ks * js]))
     ka, kn = _mirror_orbit_pairs(_N_ANGLE)
     best, (bl, bm, ba, bn) = evaluate(lams, mags, shears, angs[ka], angs[kn])
-    dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
-    dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
-    da = angs[1] - angs[0]
+    dl, dm, da = 1.0 / (_N_LAMBDA - 1), _MAX_MAG / _N_MAG, angs[1] - angs[0]
     for _ in range(_REFINE_ROUNDS):
         lams_r = np.clip(bl + np.linspace(-dl, dl, 7), 1e-3, 1 - 1e-3)
         mags_r = np.clip(bm + np.linspace(-dm, dm, 7), 1e-6, None)

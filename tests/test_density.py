@@ -6,8 +6,8 @@ import pytest
 
 import peribond.density
 from helpers import huber_power, rot, set_laminate_grid, tabulated_potential
-from peribond.density import (_canonical_rows, _monomial_rule,
-                              _sphere_average, closed_form_tilde_2d, compute_bounds,
+from peribond.density import (_eigenvalues, _orthant_rule, _sphere_average,
+                              closed_form_tilde_2d, compute_bounds,
                               density_laminate_upper, density_lower,
                               density_lower_batch, density_tilde,
                               density_tilde_batch, singular_values,
@@ -101,17 +101,33 @@ class TestOrderingAndZeroSet:
 
 class TestBatchHelpers:
     def test_batch_matches_scalar(self):
+        # both average over the eigenvalues of F^T F, so only the order of
+        # the sums can differ
         rng = np.random.default_rng(4)
-        Fs = rng.uniform(-2, 2, size=(6, 2, 2))
-        lo = density_lower_batch(Fs, PHI2, 2.0, Q2)
-        ti = density_tilde_batch(Fs, PHI2, 2.0, Q2)
-        for k in range(6):
-            # batch skips the diag(sigma) canonicalization, so agreement is
-            # limited by the orientation sensitivity of the quadrature
-            assert lo[k] == pytest.approx(density_lower(Fs[k], PHI2, 2.0, Q2),
-                                          rel=1e-5, abs=1e-7)
-            assert ti[k] == pytest.approx(density_tilde(Fs[k], PHI2, 2.0, Q2),
-                                          rel=1e-5, abs=1e-7)
+        for q, phi, m in ((Q2, PHI2, 2.0), (sphere_quadrature(3, 16), power_potential(1.5), 1.0)):
+            d = q.points.shape[1]
+            Fs = rng.uniform(-2, 2, size=(6, d, d))
+            lo = density_lower_batch(Fs, phi, m, q)
+            ti = density_tilde_batch(Fs, phi, m, q)
+            for k in range(6):
+                assert lo[k] == pytest.approx(density_lower(Fs[k], phi, m, q),
+                                              rel=1e-12, abs=1e-20)
+                assert ti[k] == pytest.approx(density_tilde(Fs[k], phi, m, q),
+                                              rel=1e-12, abs=1e-20)
+
+    def test_two_dimensional_calls_make_no_svd(self, monkeypatch):
+        # 2 x 2 Grams have closed-form eigenvalues: no LAPACK call, and no
+        # memory its first batched call would take
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        Fs = np.random.default_rng(5).uniform(-2, 2, size=(6, 2, 2))
+        want = density_tilde_batch(Fs, PHI2, 2.0, Q2)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert np.array_equal(density_tilde_batch(Fs, PHI2, 2.0, Q2), want)
+        assert np.all(density_lower_batch(Fs, PHI2, 2.0, Q2) <= want)
+        with pytest.raises(AssertionError, match="svd"):
+            density_tilde_batch(np.eye(3)[None], PHI2, 2.0, sphere_quadrature(3, 8))
 
 
 def reference_average(F, phi, m, q, lower):
@@ -136,15 +152,15 @@ def equivalence_matrices(d):
 
 
 class TestSphereAverageEquivalence:
-    """The Gram-matrix sphere average against the |F w| formula it replaced.
+    """The eigenvalue sphere average against the |F w| formula at diag(sigma(F)).
 
-    Single-matrix calls average over diag(sigma(F)), batch calls over the raw
-    F; the tolerance is relative to the reference plain average of the same
-    matrix, with a floor for averages that vanish.
+    Single and batch calls both average in the eigenbasis of F^T F, where F
+    is diag(sigma(F)); the tolerance is relative to the reference plain
+    average, with a floor for averages that vanish.
     """
 
     # order 20 puts circle nodes on both diagonals, the null directions of
-    # the singular 2 x 2 matrices, where rounding can make w^T C w negative
+    # the singular 2 x 2 matrices in their raw orientation
     QUADS = {1: sphere_quadrature(1, 2), 2: sphere_quadrature(2, 20),
              3: sphere_quadrature(3, 12)}
 
@@ -164,24 +180,86 @@ class TestSphereAverageEquivalence:
             single = {True: density_lower(F, phi, m, q),
                       False: density_tilde(F, phi, m, q)}
             for lower in (True, False):
-                for got, G in ((single[lower], canon), (batch[lower][k], F)):
-                    ref = reference_average(G, phi, m, q, lower)
-                    tol = 1e-12 * reference_average(G, phi, m, q, False) + 1e-20
+                ref = reference_average(canon, phi, m, q, lower)
+                tol = 1e-12 * reference_average(canon, phi, m, q, False) + 1e-20
+                for got in (single[lower], batch[lower][k]):
                     assert abs(got - ref) <= tol, (F, lower, got, ref)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1.0, 1.5, 2.0])
+    def test_singular_matrix_keeps_every_digit(self, p, m):
+        # circle nodes on the null direction of [[1, -1], [-1, 1]]: the
+        # sqrt of a rounded w^T C w kept only half the digits of |F w| there
+        F = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        phi, q = power_potential(p), self.QUADS[2]
+        canon = np.diag(singular_values(F))
+        tilde = reference_average(canon, phi, m, q, False)
+        for lower, batch in ((True, density_lower_batch), (False, density_tilde_batch)):
+            got = batch(F[None], phi, m, q)[0]
+            assert abs(got - reference_average(canon, phi, m, q, lower)) <= 1e-15 * tilde
+
+
+class TestOrthantRule:
+    """The rule folded onto the closed positive orthant against the whole rule."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("order", [8, 20, 21, 22, 64])
+    def test_folded_equals_full_rule(self, d, order):
+        q = sphere_quadrature(d, order)
+        full = ((q.points**2).T, q.weights)
+        lam = np.sort(np.random.default_rng(order).uniform(0.0, 3.0, (20, d)))[:, ::-1]
+        for phi, m in ((power_potential(1.5), 1.0), (PHI2, 2.0), (power_potential(3.0), 1.5)):
+            tilde = _sphere_average(lam, phi, m, full)
+            for lower in (True, False):
+                got = _sphere_average(lam, phi, m, _orthant_rule(q), lower)
+                want = _sphere_average(lam, phi, m, full, lower)
+                assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, tilde))
+
+    @pytest.mark.parametrize("d,order,nodes", [(1, 8, 1), (2, 8, 2), (2, 64, 16), (2, 21, 21),
+                                               (2, 22, 6), (3, 21, 121), (3, 64, 1024)])
+    def test_node_counts(self, d, order, nodes):
+        # the d = 2 rule at odd order has no mirror image and stays whole; at
+        # order 22 (and in d = 3 at odd order) nodes on a coordinate axis or
+        # plane take split weights
+        sq, w = _orthant_rule(sphere_quadrature(d, order))
+        assert sq.shape == (d, nodes) and w.shape == (nodes,)
+        assert abs(w.sum() - 1.0) <= 1e-14
+
+
+class TestClosedFormEigenvalues:
+    """The closed-form eigenvalues of 2 x 2 Grams against np.linalg.eigvalsh."""
+
+    def test_explicit_matrices(self):
+        rng = np.random.default_rng(17)
+        Fs = [rng.uniform(-2.0, 2.0, (2, 2)) for _ in range(20)]
+        # nearly isotropic, where tr^2 - 4 det^2 would cancel, and singular
+        Fs += [rot(0.3) @ np.diag([1.0 + 1e-9, 1.0]) @ rot(1.1), 2.0 * rot(0.7),
+               np.eye(2), np.zeros((2, 2)), np.array([[1.0, -1.0], [-1.0, 1.0]]),
+               np.array([[1.0, 1.0], [1.0, 1.0]]), rot(0.3) @ np.diag([2.0, 0.0]) @ rot(1.1),
+               np.diag([1e-8, 3.0])]
+        Fs = np.array(Fs)
+        got = _eigenvalues(Fs)
+        want = np.linalg.eigvalsh(np.swapaxes(Fs, 1, 2) @ Fs)[:, ::-1]
+        assert np.all(np.abs(got - want) <= 4e-16 * want[:, :1])
+        assert np.all(got[:, 0] >= got[:, 1]) and np.all(got >= 0.0)
+        # the smaller eigenvalue keeps its relative accuracy: det(F)^2 / lambda_1
+        sig = np.array([1.0 + 1e-9, 1.0])
+        np.testing.assert_allclose(got[20], sig**2, rtol=4e-16, atol=0)
+        np.testing.assert_allclose(got[-1], [9.0, 1e-16], rtol=4e-16, atol=0)
 
 
 class TestLaminateFastPath:
-    """The node halving and the closed-form candidate Grams of the laminate
-    search, each against the explicit computation it stands for."""
+    """The folded rule and the closed-form candidate eigenvalues of the
+    laminate search, each against the explicit computation it stands for."""
 
     @pytest.mark.parametrize("phi", [power_potential(1.5), PHI2],
                              ids=["power(p=1.5, scale=1.0)", "power(p=2.0, scale=1.0)"])
     @pytest.mark.parametrize("m", [1.0, 2.0])
     def test_odd_order_keeps_the_full_rule(self, phi, m):
-        # at an odd order no node has its antipode in the rule
+        # at an odd order the circle rule has no mirror image of its nodes
         q = sphere_quadrature(2, 21)
-        assert peribond.density._monomial_rule(q)[0].shape == (3, 21)
-        assert peribond.density._monomial_rule(sphere_quadrature(2, 20))[0].shape == (3, 10)
+        assert _orthant_rule(q)[0].shape == (2, 21)
+        assert _orthant_rule(sphere_quadrature(2, 20))[0].shape == (2, 5)
         Fs = equivalence_matrices(2)
         batch = density_tilde_batch(Fs, phi, m, q)
         for k, F in enumerate(Fs):
@@ -191,8 +269,7 @@ class TestLaminateFastPath:
             assert abs(density_tilde(F, phi, m, q) - ref) <= tol
             assert abs(density_lower(F, phi, m, q)
                        - reference_average(canon, phi, m, q, True)) <= tol
-            ref = reference_average(F, phi, m, q, False)
-            assert abs(batch[k] - ref) <= 1e-12 * ref + 1e-20
+            assert abs(batch[k] - ref) <= tol
 
     @staticmethod
     def candidates(seed, count):
@@ -206,14 +283,27 @@ class TestLaminateFastPath:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_closed_form_rows_match_explicit_matrices(self, seed):
+        # each candidate's average from the closed-form coefficients in mu
+        # against the |G w| reference at diag(sigma(G)), G built explicitly;
+        # three more candidates are nearly isotropic, singular on an axis
+        # and singular off the axes
         sig, lam, a, n = self.candidates(seed, 64)
-        lin, quad = peribond.density._rank_one_terms(sig, a, n)
-        base = np.array([sig[0] ** 2, 0.0, sig[1] ** 2])
-        rank1 = a[:, :, None] * n[:, None, :]
-        for s in (1.0 - lam, -lam):
-            rows = base + s[:, None] * lin + (s * s)[:, None] * quad
-            want = peribond.density._gram_rows(np.diag(sig) + s[:, None, None] * rank1)
-            np.testing.assert_allclose(rows, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        th_a = np.concatenate([np.arctan2(a[:, 1], a[:, 0]), [0.0, 0.0, 0.4]])
+        th_n = np.concatenate([np.arctan2(n[:, 1], n[:, 0]), [0.0, 0.0, 1.3]])
+        unit, normal = (np.stack([np.cos(t), np.sin(t)], -1) for t in (th_a, th_n))
+        mag = np.hypot(a[:, 0], a[:, 1])
+        det1 = sig[1] * unit[-1, 0] * normal[-1, 0] + sig[0] * unit[-1, 1] * normal[-1, 1]
+        q = sphere_quadrature(2, 32)
+        for phi, m in ((power_potential(1.5), 1.0), (PHI2, 2.0)):
+            for s in (1.0 - lam, -lam):
+                mu = np.concatenate([s * mag, [sig[1] - sig[0] + 1e-9, -sig[0],
+                                               -sig[0] * sig[1] / det1]])
+                got = np.diag(peribond.density._shear_averages(sig, th_a, th_n, mu, phi, m,
+                                                               _orthant_rule(q)))
+                for k in range(len(mu)):
+                    G = np.diag(sig) + mu[k] * np.outer(unit[k], normal[k])
+                    want = reference_average(np.diag(singular_values(G)), phi, m, q, False)
+                    assert abs(got[k] - want) <= 1e-14 * max(1.0, want), (k, got[k], want)
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
@@ -226,12 +316,14 @@ class TestLaminateFastPath:
                 sig, np.arctan2(a[k:k + 1, 1], a[k:k + 1, 0]),
                 np.arctan2(n[k:k + 1, 1], n[k:k + 1, 0]),
                 np.array([(1 - lam[k]) * mag[k], -lam[k] * mag[k]]), phi, m,
-                peribond.density._monomial_rule(q))
+                _orthant_rule(q))
             got = lam[k] * f[0, 0] + (1 - lam[k]) * f[1, 0]
             rank1 = np.outer(a[k], n[k])
-            F = np.diag(sig)
-            want = (lam[k] * reference_average(F + (1 - lam[k]) * rank1, phi, m, q, False)
-                    + (1 - lam[k]) * reference_average(F - lam[k] * rank1, phi, m, q, False))
+            # each matrix averaged at diag(sigma) of itself, as the search does
+            canon = [np.diag(singular_values(np.diag(sig) + s * rank1))
+                     for s in (1 - lam[k], -lam[k])]
+            want = (lam[k] * reference_average(canon[0], phi, m, q, False)
+                    + (1 - lam[k]) * reference_average(canon[1], phi, m, q, False))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-20)
 
 
@@ -258,9 +350,7 @@ def full_grid_laminate(F, phi, m, q, n_lambda, n_mag, max_mag, n_angle, refine_r
     mags = np.linspace(max_mag / n_mag, max_mag, n_mag)
     angs = np.linspace(0.0, np.pi, n_angle, endpoint=False)
     best, (bl, bm, ba, bn) = evaluate(lams, mags, angs, angs)
-    dl = lams[1] - lams[0] if len(lams) > 1 else 0.1
-    dm = mags[1] - mags[0] if len(mags) > 1 else 0.1
-    da = angs[1] - angs[0]
+    dl, dm, da = 1.0 / (n_lambda - 1), max_mag / n_mag, angs[1] - angs[0]
     for _ in range(refine_rounds):
         step = np.linspace(-1.0, 1.0, 7)
         val, (bl, bm, ba, bn) = evaluate(np.clip(bl + dl * step, 1e-3, 1 - 1e-3),
@@ -299,7 +389,7 @@ class TestLaminateMirrorOrbits:
         lams = np.linspace(0.0, 1.0, 9)[1:-1]
         f = peribond.density._shear_averages(
             sig, ang[ka], ang[kn], 0.9 * np.concatenate([1.0 - lams, -lams]), phi, m,
-            peribond.density._monomial_rule(sphere_quadrature(2, 32)))
+            _orthant_rule(sphere_quadrature(2, 32)))
         vals = {lam: lam * f[i] + (1.0 - lam) * f[len(lams) + i] for i, lam in enumerate(lams)}
         swap = (ka == 0) != (kn == 0)
         for lam in lams:
@@ -401,8 +491,8 @@ def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature
 
 class TestFrameIndifference:
     def test_depends_only_on_singular_values(self):
-        # scalar bounds canonicalize to diag(sigma), so two-sided rotations
-        # only perturb the answer through singular-value rounding
+        # the averages take the eigenvalues of F^T F, so two-sided rotations
+        # only perturb the answer through eigenvalue rounding
         F = np.diag([1.8, 0.6])
         for th1, th2 in [(0.3, 1.1), (2.0, -0.4)]:
             G = rot(th1) @ F @ rot(th2)
@@ -412,8 +502,9 @@ class TestFrameIndifference:
                 density_lower(F, PHI2, 2.0, Q2), abs=1e-12)
 
     def test_laminate_invariant_to_rotations(self, monkeypatch):
-        # the lamination search canonicalizes to diag(sigma), so rotations
-        # change the answer only through singular-value rounding
+        # the lamination search runs at diag(sigma), and the tilde cap and
+        # lower-bound guard take the eigenvalues of F^T F, so rotations change
+        # the answer only through the rounding of sigma and the eigenvalues
         F = np.diag([2.5, 0.4])
         set_laminate_grid(monkeypatch, 9, 6, 2.0, 16, 1)
         v1 = density_laminate_upper(F, PHI2, 2.0, Q2)
@@ -497,7 +588,7 @@ def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,
         G = rng.standard_normal((d, d))
         norms[k] = rng.uniform(2.0, 50.0)
         Fs[k] = G * (norms[k] / np.linalg.norm(G))
-    lhs = _sphere_average(_canonical_rows(Fs), phi, m, _monomial_rule(q), lower=True)
+    lhs = density_lower_batch(Fs, phi, m, q)
     return 0.99 * float(np.min(lhs / (norms**phi.p - 1.0)))
 
 

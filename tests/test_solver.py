@@ -282,3 +282,15 @@ class TestLocalization:
         assert last.lower_int - tol <= last.energy <= last.tilde_int + tol
         assert np.isnan(rows[0].lp_dist_prev)
         assert rows[1].lp_dist_prev >= 0.0
+
+    def test_two_dimensional_run_makes_no_svd(self, monkeypatch):
+        # the density integrals over 2 x 2 gradients take closed-form
+        # eigenvalues; no step of a 2D run needs a singular value decomposition
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rows = localization_experiment(
+            np.array([[1.2, 0.1], [0.0, 0.9]]), PHI, 1.0, box_sequence(2, lambda n: 1.0 / n),
+            n_values=[4], grid_law=lambda n: box_grid(2, 0.0, 1.0, 12), collar_width=0.1)
+        assert 0.0 <= rows[0].lower_int <= rows[0].tilde_int
