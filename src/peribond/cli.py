@@ -13,6 +13,7 @@ failure, 2 parse error, 3 validation error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -378,6 +379,7 @@ def cmd_list_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="peribond",
                                 description="nonlocal bond-energy experiments")
@@ -388,19 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override config seed")
     run.add_argument("--threads", type=int, default=1,
                      help="accepted for older scripts; has no effect")
-    run.set_defaults(func=cmd_run)
     val = sub.add_parser("validate", help="validate a scenario config")
     val.add_argument("config")
-    val.set_defaults(func=cmd_validate)
-    cat = sub.add_parser("list-catalog", help="list experiments and catalogs")
-    cat.set_defaults(func=cmd_list_catalog)
+    sub.add_parser("list-catalog", help="list experiments and catalogs")
     return p
 
 
 def main(argv=None) -> int:
+    # built once per process; the commands are looked up on every call
     args = build_parser().parse_args(argv)
+    commands = {"run": cmd_run, "validate": cmd_validate, "list-catalog": cmd_list_catalog}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         # run writes error.json into --out when one is given
         out = getattr(args, "out", None)

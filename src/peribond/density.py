@@ -93,11 +93,11 @@ def _shear_averages(sig: np.ndarray, aa: np.ndarray, an: np.ndarray, mus: np.nda
     With G = diag(sig) + mu a (x) n and C = G^T G, tr C, C_00 - C_11 and
     2 C_01 are quadratics in mu and det G is linear in mu, with coefficients
     set once per pair.  A batch holds as many whole shears as fit in
-    ``_LAMINATE_CHUNK`` averages times (nodes + 2), at least one.
+    ``_CHUNK`` averages times (nodes + 2), at least one.
     """
     (a0, a1), (n0, n1), (s0, s1) = (np.cos(aa), np.sin(aa)), (np.cos(an), np.sin(an)), sig
     b0, b1 = s0 * a0, s1 * a1
-    step = max(1, _LAMINATE_CHUNK // ((len(rule[1]) + 2) * len(aa)))
+    step = max(1, _CHUNK // ((len(rule[1]) + 2) * len(aa)))
     # the pairs' coefficients repeated for a whole batch: flat arrays beat
     # broadcasting shears against pairs at these sizes
     coef = np.tile([2.0 * (b0 * n0 + b1 * n1), 2.0 * (b0 * n0 - b1 * n1), n0 * n0 - n1 * n1,
@@ -145,31 +145,38 @@ def zero_set_predicate(F) -> bool:
     return bool(singular_values(F).max() <= 1.0 + 1e-12)
 
 
+def _batch_average(Fs, phi: Potential, m: float, q: SphereQuadrature, lower: bool):
+    """``_sphere_average`` over matrices, (B, d, d) -> (B,), in chunks of
+    ``_CHUNK`` // (nodes + 2) matrices, at least one."""
+    lam, rule = _eigenvalues(np.asarray(Fs, dtype=float)), _orthant_rule(q)
+    step = max(1, _CHUNK // (len(rule[1]) + 2))
+    return np.concatenate([np.empty(0), *(_sphere_average(lam[i:i + step], phi, m, rule, lower)
+                                          for i in range(0, len(lam), step))])
+
+
 def density_lower_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_lower over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_eigenvalues(np.asarray(Fs, dtype=float)), phi, m,
-                           _orthant_rule(q), lower=True)
+    return _batch_average(Fs, phi, m, q, lower=True)
 
 
 def density_tilde_batch(Fs: np.ndarray, phi: Potential, m: float,
                         q: SphereQuadrature) -> np.ndarray:
     """density_tilde over a batch of matrices, shape (B, d, d) -> (B,)."""
-    return _sphere_average(_eigenvalues(np.asarray(Fs, dtype=float)), phi, m,
-                           _orthant_rule(q))
+    return _batch_average(Fs, phi, m, q, lower=False)
 
 
-#: laminate averages times (kept quadrature nodes + 2) per batch: bounds the
-#: (B, Q) temporaries and the per-average ones, and a batch that fits in
-#: cache beats a larger one
-_LAMINATE_CHUNK = 2**14
+#: averages times (kept quadrature nodes + 2) per batch: bounds the (B, Q)
+#: temporaries and the per-average ones, and a batch that fits in cache
+#: beats a larger one
+_CHUNK = 2**14
 
 
 #: the grid of the first-order laminate upper bound (d = 2): the coarse grid
 #: crosses the volume fractions ``linspace(0, 1, _N_LAMBDA)[1:-1]``, ``_N_MAG``
 #: lengths of a up to ``_MAX_MAG`` and the angle pairs (k pi/_N_ANGLE) of a and n,
-#: one per mirror orbit (see ``_laminate_upper``); each of the ``_REFINE_ROUNDS``
-#: refinement rounds is a whole 7^4 grid around the best candidate
+#: one per orbit of the mirror and the transpose (``_laminate_upper``); each of
+#: the ``_REFINE_ROUNDS`` refinement rounds is a 7^4 grid around the best candidate
 _N_LAMBDA = 17
 _N_MAG = 12
 _MAX_MAG = 2.0
@@ -179,10 +186,12 @@ _REFINE_ROUNDS = 2
 
 def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The angle-index pairs (k_a, k_n) that the coarse laminate grid keeps:
-    of each pair and its mirror ((-k_a) mod n, (-k_n) mod n), the one with the
-    smaller k_a n + k_n, in that order."""
+    of each pair, its mirror ((-k_a) mod n, (-k_n) mod n), its transpose
+    (k_n, k_a) and the transpose's mirror, the one with the smallest
+    k_a n + k_n, in that order."""
     ka, kn = np.divmod(np.arange(n * n), n)
-    keep = ka * n + kn <= (-ka) % n * n + (-kn) % n
+    ra, rn = (-ka) % n, (-kn) % n
+    keep = ka * n + kn <= np.minimum.reduce([ra * n + rn, kn * n + ka, rn * n + ra])
     return ka[keep], kn[keep]
 
 
@@ -210,18 +219,21 @@ def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
     """The laminate search at F = diag(sig), capped by ``tilde_F`` and
     checked against ``lower_F``, the two averages at the same matrix.
 
-    The coarse grid is evaluated once per mirror orbit of its angle pairs.
-    R = diag(1, -1) fixes diag(sig), so R (F + s a (x) n) R = F + s Ra (x) Rn
-    has the singular values of F + s a (x) n and each candidate the value of
-    its reflection.  On the angles kpi/n, R takes the candidate of the pair
-    (k_a, k_n) to that of ((-k_a) mod n, (-k_n) mod n), or to its negative
-    when exactly one index is 0; value(lam, -a (x) n) = value(1 - lam,
-    a (x) n) covers that case, but needs the grid of lam symmetric about 1/2,
-    as ``linspace(0, 1, _N_LAMBDA)[1:-1]`` is.  The refinement rounds are
-    evaluated whole.  Both matrices of a candidate are diag(sig) + mu a (x) n
-    with |a| = 1, mu = (1-lam) mag or -lam mag, and each distinct mu is averaged
-    once per pair: at most 94,928 averages per search (85,324 coarse, at most
-    9,604 refinement) against 194,644 at two per candidate.
+    The coarse grid is evaluated once per orbit of its angle pairs under the
+    group of the mirror and the transpose.  R = diag(1, -1) fixes diag(sig),
+    so R (F + s a (x) n) R = F + s Ra (x) Rn has the singular values of
+    F + s a (x) n and each candidate the value of its reflection.  On the
+    angles kpi/n, R takes the candidate of the pair (k_a, k_n) to that of
+    ((-k_a) mod n, (-k_n) mod n), or to its negative when exactly one index
+    is 0; value(lam, -a (x) n) = value(1 - lam, a (x) n) covers that case,
+    but needs the grid of lam symmetric about 1/2, as
+    ``linspace(0, 1, _N_LAMBDA)[1:-1]`` is.  (F + s a (x) n)^T = F + s n (x) a
+    has the same singular values too, so the pair (k_n, k_a) has the value
+    of (k_a, k_n).  The refinement rounds are evaluated whole.  Both
+    matrices of a candidate are diag(sig) + mu a (x) n with |a| = 1,
+    mu = (1-lam) mag or -lam mag, and each distinct mu is averaged once per
+    pair: at most 54,922 averages per search (45,318 coarse, at most 9,604
+    refinement).
     """
     lams = np.linspace(0.0, 1.0, _N_LAMBDA)[1:-1]
     mags = np.linspace(_MAX_MAG / _N_MAG, _MAX_MAG, _N_MAG)

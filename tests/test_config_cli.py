@@ -495,6 +495,36 @@ class TestDeterminism:
         capsys.readouterr()
         assert (a / "checks.csv").read_bytes() == (b / "checks.csv").read_bytes()
 
+    def test_reused_parser_writes_what_a_fresh_one_does(self, tmp_path, capsys):
+        # main builds its parser once per process: a run, a run with other
+        # options, validate, a config error and a run again, each against
+        # the same call on a newly built parser
+        good = write(tmp_path, "good.json", GOOD_DENSITY)
+        bad = write(tmp_path, "bad.json", {"experiment": "sawtooth",
+                                           "sawtooth": {"N": 0, "delta": 0.1}})
+
+        def session(root, fresh):
+            seen = []
+            for argv in (["run", good, "--out", f"{root}/a"],
+                         ["run", good, "--seed", "5", "--out", f"{root}/b"],
+                         ["validate", good],
+                         ["run", bad, "--out", f"{root}/c"],
+                         ["run", good, "--out", f"{root}/d"]):
+                if fresh:
+                    peribond.cli.build_parser.cache_clear()
+                code = main(argv)
+                out, err = capsys.readouterr()
+                seen.append((code, out.replace(str(root), "ROOT"), err))
+            files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            return seen, files
+
+        reused = session(tmp_path / "reused", False)
+        assert peribond.cli.build_parser() is peribond.cli.build_parser()
+        assert [code for code, _, _ in reused[0]] == [0, 0, 0, 3, 0]
+        assert session(tmp_path / "fresh", True) == reused
+        assert reused[1][Path("a/summary.json")] == reused[1][Path("d/summary.json")]
+        assert reused[1][Path("a/summary.json")] != reused[1][Path("b/summary.json")]
+
 
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path, child_env):

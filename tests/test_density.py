@@ -1,6 +1,8 @@
 """Limit-density bound sandwich: closed forms, ordering, invariances,
 zero set, coercivity and the lamination upper bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,38 @@ class TestBatchHelpers:
         assert np.all(density_lower_batch(Fs, PHI2, 2.0, Q2) <= want)
         with pytest.raises(AssertionError, match="svd"):
             density_tilde_batch(np.eye(3)[None], PHI2, 2.0, sphere_quadrature(3, 8))
+
+    @pytest.mark.parametrize("lower", [True, False], ids=["lower", "tilde"])
+    def test_large_batch_is_averaged_in_chunks(self, lower):
+        # 4,096 3D matrices at order 64 (1,024 kept nodes) held 96 MiB of
+        # tracemalloc as one (B, Q) array; the chunks hold well under 8 MiB
+        Fs = np.eye(3) + 0.4 * np.random.default_rng(5).standard_normal((4096, 3, 3))
+        q, phi = sphere_quadrature(3, 64), power_potential(1.5)
+        batch = density_lower_batch if lower else density_tilde_batch
+        tracemalloc.start()
+        try:
+            got = batch(Fs, phi, 1.0, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        whole = _sphere_average(_eigenvalues(Fs), phi, 1.0, _orthant_rule(q), lower=lower)
+        np.testing.assert_allclose(got, whole, rtol=1e-12, atol=0)
+
+    def test_localize_size_batch_is_one_chunk(self, monkeypatch):
+        # localize_2d averages 529 gradients at order 64 in one call, bit for bit
+        Fs = np.eye(2) + 0.3 * np.random.default_rng(6).standard_normal((529, 2, 2))
+        q = sphere_quadrature(2, 64)
+        whole = _sphere_average(_eigenvalues(Fs), PHI2, 2.0, _orthant_rule(q))
+        calls = []
+
+        def counted(lam, *args, **kwargs):
+            calls.append(len(lam))
+            return _sphere_average(lam, *args, **kwargs)
+
+        monkeypatch.setattr(peribond.density, "_sphere_average", counted)
+        assert np.array_equal(density_tilde_batch(Fs, PHI2, 2.0, q), whole)
+        assert calls == [529]
 
 
 def reference_average(F, phi, m, q, lower):
@@ -363,19 +397,25 @@ def full_grid_laminate(F, phi, m, q, n_lambda, n_mag, max_mag, n_angle, refine_r
 
 class TestLaminateMirrorOrbits:
     """The coarse laminate grid evaluated once per orbit of the reflection
-    diag(1, -1), against the whole grid."""
+    diag(1, -1) and the transpose, against the whole grid."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 32])
     def test_kept_pairs_and_mirrors_cover_the_grid_once(self, n):
+        # the images of each kept pair under the mirror, the transpose and
+        # both; (n^2 + 2n + 4)/4 orbits for even n, ((n + 1)/2)^2 for odd n
+        kept = {1: 1, 2: 3, 3: 4, 7: 16, 8: 21, 16: 73, 32: 273}[n]
         ka, kn = peribond.density._mirror_orbit_pairs(n)
         hits = np.zeros((n, n), dtype=int)
-        for pair in zip(ka, kn):
-            for k in {pair, ((-pair[0]) % n, (-pair[1]) % n)}:
+        for a, b in zip(ka, kn):
+            for k in {(a, b), (-a % n, -b % n), (b, a), (-b % n, -a % n)}:
                 hits[k] += 1
         assert np.all(hits == 1)
-        fixed = 1 if n % 2 else 4
-        assert len(ka) == (n * n + fixed) // 2
+        assert len(ka) == kept == ((n * n + 2 * n + 4) // 4 if n % 2 == 0 else (n + 1) ** 2 // 4)
         assert np.all(np.diff(ka * n + kn) > 0)
+        # each kept pair is the first of its orbit in flat order
+        assert all(a * n + b == min(k[0] * n + k[1] for k in
+                                    [(a, b), (-a % n, -b % n), (b, a), (-b % n, -a % n)])
+                   for a, b in zip(ka, kn))
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
@@ -398,6 +438,20 @@ class TestLaminateMirrorOrbits:
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
                              ids=["p2-m2", "p1.5-m1"])
+    def test_transpose_pair_has_the_same_value(self, phi, m):
+        # (diag(sig) + mu a (x) n)^T = diag(sig) + mu n (x) a: the shear
+        # averages at (k_a, k_n) and (k_n, k_a) agree, for every shear
+        n, sig = 16, np.array([1.7, 0.4])
+        ka, kn = (k.ravel() for k in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        ang = np.pi * np.arange(n) / n
+        mus = np.linspace(-1.9, 1.9, 13)
+        rule = _orthant_rule(sphere_quadrature(2, 32))
+        f = peribond.density._shear_averages(sig, ang[ka], ang[kn], mus, phi, m, rule)
+        g = peribond.density._shear_averages(sig, ang[kn], ang[ka], mus, phi, m, rule)
+        np.testing.assert_allclose(f, g, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
     def test_matches_full_grid(self, phi, m, monkeypatch):
         rng = np.random.default_rng(29)
         Fs = [rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.5, 1.4, 2)))
@@ -415,6 +469,22 @@ class TestLaminateMirrorOrbits:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
             below += want < tilde
         assert below >= 6  # the search is not merely capped at tilde
+
+    @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
+                             ids=["p2-m2", "p1.5-m1"])
+    def test_matches_full_grid_at_odd_angle_count(self, phi, m, monkeypatch):
+        # with n odd no pair but (0, 0) is its own mirror
+        rng = np.random.default_rng(37)
+        Fs = [rot(rng.uniform(0, 7)) @ np.diag(np.exp(rng.uniform(-1.5, 1.4, 2)))
+              @ rot(rng.uniform(0, 7)) for _ in range(6)] + [np.diag([0.5, 0.5])]
+        q = sphere_quadrature(2, 16)
+        grid = (9, 6, 2.0, 7, 1)
+        set_laminate_grid(monkeypatch, *grid)
+        for F in Fs:
+            tilde = density_tilde(F, phi, m, q)
+            want = full_grid_laminate(F, phi, m, q, *grid)
+            got = density_laminate_upper(F, phi, m, q)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
 
 
 class TestLaminateSharedShears:
@@ -460,16 +530,16 @@ class TestLaminateSharedShears:
         monkeypatch.setattr(peribond.density, "_sphere_average", counted)
         F, q = rot(0.4) @ np.diag([1.3, 0.6]) @ rot(-0.8), sphere_quadrature(2, 8)
         # lower and tilde at F, then the 83 distinct products k j (k <= 15,
-        # j <= 12) of each sign on 514 angle pairs; two averages per
-        # candidate took 2 * 15 * 12 * 514 = 185,040.  Each refinement round
+        # j <= 12) of each sign on 273 angle pairs; two averages per
+        # candidate took 2 * 15 * 12 * 273 = 98,280.  Each refinement round
         # adds at most 2 * 7 * 7 shears on 7 * 7 pairs (the first round's
         # products can still coincide)
         density_laminate_upper(F, PHI2, 2.0, q)
-        assert 2 + 85_324 < sum(rows) <= 2 + 85_324 + 2 * 98 * 49
+        assert 2 + 45_318 < sum(rows) <= 2 + 45_318 + 2 * 98 * 49
         rows.clear()
         set_laminate_grid(monkeypatch, 17, 12, 2.0, 32, 0)
         density_laminate_upper(F, PHI2, 2.0, q)
-        assert sum(rows) == 2 + 2 * 83 * 514
+        assert sum(rows) == 2 + 2 * 83 * 273
 
 
 def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature) -> float:
