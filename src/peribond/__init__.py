@@ -15,10 +15,9 @@ from .materials import (CATALOG_TAGS, MicroPotential, Potential,
 from .energy import (EnergyReport, PairSet, StrainDomainError, build_pairs,
                      energy_E0, energy_E_eps, energy_Fn, energy_gradient_Fn,
                      gradient_Fn, seminorm_W)
-from .density import (DensityBounds, closed_form_tilde_2d,
-                      compute_bounds, density_laminate_upper, density_lower,
-                      density_lower_batch, density_tilde, density_tilde_batch,
-                      singular_values, zero_set_predicate)
+from .density import (DensityBounds, closed_form_tilde_2d, compute_bounds,
+                      density_lower, density_lower_batch, density_tilde,
+                      density_tilde_batch, singular_values, zero_set_predicate)
 from .constructions import (LaminateSpec, RigidityResult, SawtoothEnergy,
                             laminate_energy_decay, laminate_field,
                             laminate_profile, rigidity_reconstruct,

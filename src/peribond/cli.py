@@ -83,13 +83,13 @@ def _matrix(entries) -> np.ndarray:
 
 
 def _localize_grid(cfg: dict, n: int) -> Grid:
-    """localize's grid at index n: four cells per horizon, at least base_cells
-    and at most 512 per axis (the 1e-12 keeps round-off from adding a cell)."""
-    dom, blk = cfg["domain"], cfg["localize"]
+    """localize's grid at index n: four cells per horizon, at least
+    domain.n_cells and at most 512 per axis (the 1e-12 keeps round-off from
+    adding a cell)."""
+    dom = cfg["domain"]
     lo, hi = float(dom["lo"]), float(dom["hi"])
-    base = dom["n_cells"] if blk["base_cells"] is None else blk["base_cells"]
-    cells = np.ceil(4.0 / (_DELTA_LAWS[blk["delta_law"]](n) / (hi - lo)) - 1e-12)
-    return box_grid(dom["dim"], lo, hi, int(min(512, max(base, cells))))
+    cells = np.ceil(4.0 / (_DELTA_LAWS[cfg["localize"]["delta_law"]](n) / (hi - lo)) - 1e-12)
+    return box_grid(dom["dim"], lo, hi, int(min(512, max(dom["n_cells"], cells))))
 
 
 def _validated(cfg: dict) -> dict:

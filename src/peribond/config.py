@@ -100,11 +100,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "linearize": {"eps": Key("nums", bounds="> 0"),
                   "field": Key("str", "quadratic", choices=("quadratic", "sinusoid")),
                   "support_radius": Key("num", None, "> 0")},
-    # base_cells: domain.n_cells when absent
     "localize": {"datum": Key("matrix"),
                  "n_values": Key("ints", bounds=">= 1"),
-                 "delta_law": Key("str", "1/n", choices=("1/n", "1/n^2")),
-                 "base_cells": Key("int", None, ">= 8")},
+                 "delta_law": Key("str", "1/n", choices=("1/n", "1/n^2"))},
 }
 
 _KIND_TEXT = {"int": "an integer", "num": "a number", "bool": "true or false",

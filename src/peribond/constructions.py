@@ -16,7 +16,7 @@ import numpy as np
 from .energy import energy_Fn
 from .grids import Grid, VectorField, box_grid, full_mask
 from .kernels import box_kernel, make_rescaled
-from .materials import Potential, power_potential
+from .materials import Potential
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +149,7 @@ _MAX_CELLS = 256
 
 
 def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
-                          phi: Potential | None = None, m: float = 1.0
-                          ) -> list[LaminateDecayRow]:
+                          phi: Potential, m: float) -> list[LaminateDecayRow]:
     """Energy table of the laminate sequence under a concentrating kernel.
 
     For each n the horizon is delta = 1/n^2 and the oscillation frequency
@@ -166,7 +165,6 @@ def laminate_energy_decay(lam: Sequence[float], n_values: Sequence[int],
     """
     lam = tuple(float(x) for x in lam)
     d = len(lam)
-    phi = phi or power_potential(2.0)
     base = box_kernel(d)
     rows = []
     for n in n_values:

@@ -195,25 +195,6 @@ def _mirror_orbit_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ka[keep], kn[keep]
 
 
-def density_laminate_upper(F, phi: Potential, m: float, q: SphereQuadrature) -> float:
-    """One-level rank-one lamination upper bound on the relaxed density.
-
-    Minimizes lam * tilde(F + (1-lam) a x n) + (1-lam) * tilde(F - lam a x n)
-    over volume fractions and rank-one perturbations a x n, never returning
-    more than tilde(F).  Only d = 2 is supported.
-
-    The search runs on the canonical representative diag(sigma(F)): every
-    quantity involved depends on a matrix only through its singular values,
-    so this loses nothing and makes the result invariant under
-    F -> U' F U'' for orthogonal U', U'' up to singular-value rounding.
-    """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    if F.shape != (2, 2):
-        raise ValueError("laminate search supports d = 2 only")
-    return _laminate_upper(singular_values(F), phi, m, q, density_lower(F, phi, m, q),
-                           density_tilde(F, phi, m, q))
-
-
 def _laminate_upper(sig: np.ndarray, phi: Potential, m: float,
                     q: SphereQuadrature, lower_F: float, tilde_F: float) -> float:
     """The laminate search at F = diag(sig), capped by ``tilde_F`` and
@@ -300,6 +281,18 @@ class DensityBounds:
 
 def compute_bounds(F, phi: Potential, m: float, order: int,
                    with_laminate: bool = True) -> DensityBounds:
+    """The bound sandwich at F on the order-``order`` sphere rule.
+
+    ``laminate_upper`` is the one-level rank-one lamination bound: the least
+    lam * tilde(F + (1-lam) a x n) + (1-lam) * tilde(F - lam a x n) over
+    volume fractions and rank-one perturbations a x n, never more than
+    tilde(F).  Only d = 2 runs that search; other d, and ``with_laminate``
+    False, report ``laminate_upper = tilde``.  The search runs on the
+    canonical representative diag(sigma(F)): every quantity involved depends
+    on a matrix only through its singular values, so this loses nothing and
+    makes the result invariant under F -> U' F U'' for orthogonal U', U''
+    up to singular-value rounding.
+    """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     d = F.shape[0]
     q = sphere_quadrature(d, order)

@@ -108,7 +108,7 @@ class MicroPotential:
 
 #: tags accepted by :func:`catalog_potential`, each with the parameters it reads
 CATALOG_TAGS = {"mbm": ("s0", "c"), "mbm_smooth": ("c",), "modified_mbm": ("s0", "c"),
-                "cohesive": ("f", "fprime0"), "quartic": (), "two_well": ("s0",)}
+                "cohesive": (), "quartic": (), "two_well": ("s0",)}
 
 
 def _constant(c: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -120,8 +120,8 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
 
     Tags: ``mbm`` (brittle, quadratic below a strain threshold s0),
     ``mbm_smooth`` (the unbroken quadratic branch), ``modified_mbm``
-    (force weakens smoothly), ``cohesive`` (bounded profile f of r*s^2,
-    x / (1 + x) unless ``f`` is given, with ``fprime0`` = f'(0)),
+    (force weakens smoothly), ``cohesive`` (bounded profile f(r s^2) with
+    f(x) = x / (1 + x)),
     ``quartic`` (stretch-quartic (t^2-1)^2 written in strain variables),
     ``two_well`` (wells at 0 and s0).  A parameter the tag does not read,
     as listed in :data:`CATALOG_TAGS`, raises ValueError.
@@ -161,24 +161,13 @@ def catalog_potential(tag: str, **params) -> MicroPotential:
         return MicroPotential(psi, _constant(c), c1=c / 4, c2=c, delta0=s0 / 2)
 
     if tag == "cohesive":
-        f = params.get("f")
-        fprime0 = params.get("fprime0", 1.0)
-        if f is None:
-            if "fprime0" in params:
-                raise ValueError("cohesive: fprime0 describes a given f and needs one")
-
-            def f(x):  # bounded, concave, f(0)=0, f'(0)=1
-                return x / (1.0 + x)
-
-        def psi(r, s):
-            r = np.asarray(r, dtype=float)
-            s = np.asarray(s, dtype=float)
-            return f(r * s**2)
+        def psi(r, s):  # f(x) = x / (1 + x): bounded, concave, f(0) = 0, f'(0) = 1
+            x = np.asarray(r, dtype=float) * np.asarray(s, dtype=float) ** 2
+            return x / (1.0 + x)
 
         # d2/ds2 f(r s^2) at 0 = 2 r f'(0)
-        return MicroPotential(psi,
-                              lambda r, f0=fprime0: 2.0 * f0 * np.asarray(r, dtype=float),
-                              c1=fprime0 / 4, c2=4.0 * fprime0, delta0=0.25)
+        return MicroPotential(psi, lambda r: 2.0 * np.asarray(r, dtype=float),
+                              c1=0.25, c2=4.0, delta0=0.25)
 
     if tag == "quartic":
         # stretch form (t^2 - 1)^2 with t = 1 + s:  Psi(s) = ((1+s)^2 - 1)^2

@@ -218,12 +218,12 @@ class LinearizationTable:
 
 def linearization_experiment(u: VectorField, w: MicroPotential, m: float,
                              eps_list: Sequence[float],
-                             support_radius: float | None = None) -> LinearizationTable:
+                             support_radius: float) -> LinearizationTable:
     """Convergence of the rescaled energies to the quadratic limit at fixed u.
 
     Evaluates E_eps(u) for each eps and the quadratic energy built from the
     interaction kernel ``w.psi_ss0`` in one pass over the bonds within
-    ``support_radius`` (required) and compares them; rows where a bond leaves
+    ``support_radius`` and compares them; rows where a bond leaves
     the admissible strain domain are flagged and excluded from the rate fit.
     """
     _, double, values = _linearized_pass(u, None, support_radius, w.psi_ss0, w, m, eps_list)

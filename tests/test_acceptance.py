@@ -20,7 +20,7 @@ from helpers import (check_assumption_A, check_density_condition, fractional_seq
                      set_laminate_grid)
 from peribond.constructions import (laminate_energy_decay, rigidity_reconstruct,
                                     sawtooth_energy)
-from peribond.density import (density_laminate_upper, density_lower, density_tilde,
+from peribond.density import (compute_bounds, density_lower, density_tilde,
                               zero_set_predicate)
 from peribond.energy import build_pairs, energy_Fn, gradient_Fn
 from peribond.grids import (VectorField, box_grid, field_from_function,
@@ -119,7 +119,7 @@ def test_criterion_03_laminate_gap_at_witness():
     q = sphere_quadrature(2, 256)
     F = np.diag([1.5, 0.25])
     t0 = time.monotonic()
-    lam = density_laminate_upper(F, PHI2, 2.0, q)
+    lam = compute_bounds(F, PHI2, 2.0, 256).laminate_upper
     tilde = density_tilde(F, PHI2, 2.0, q)
     assert time.monotonic() - t0 < 30.0
     A, B = np.diag([1.5, -0.75]), np.diag([1.5, 0.75])
@@ -154,7 +154,7 @@ def test_criterion_04_laminate_decay_below_one_percent():
     # first entry by n = 8.  For n = 1 the horizon spans the whole domain, so
     # monotone decay is asserted from k * delta <= 1/2 on, and the rate as
     # the log-log slope of e against k * delta over n >= 3.
-    rows = laminate_energy_decay((0.5, 0.5), list(range(1, 9)))
+    rows = laminate_energy_decay((0.5, 0.5), list(range(1, 9)), PHI2, 1.0)
     e = np.array([r.energy for r in rows])
     kd = np.array([r.k * r.delta for r in rows])
     assert np.all(np.diff(e[kd <= 0.5]) < 0.0), e
@@ -318,8 +318,8 @@ def test_criterion_09_bounds_invariant_under_orthogonal_sandwich(monkeypatch):
                    - density_lower(G, PHI2, 2.0, q)) <= 1e-10
         assert abs(density_tilde(F, PHI2, 2.0, q)
                    - density_tilde(G, PHI2, 2.0, q)) <= 1e-10
-        assert abs(density_laminate_upper(F, PHI2, 2.0, q)
-                   - density_laminate_upper(G, PHI2, 2.0, q)) <= 1e-10
+        assert abs(compute_bounds(F, PHI2, 2.0, 512).laminate_upper
+                   - compute_bounds(G, PHI2, 2.0, 512).laminate_upper) <= 1e-10
 
 
 # -- 10 ---------------------------------------------------------------------

@@ -120,7 +120,7 @@ class TestSchema:
         (with_keys(GOOD_LINEARIZE, "micropotential", tag="modified_mbm", s0=0),
          "micropotential.s0"),
         (with_keys(GOOD_LINEARIZE, "micropotential", tag="mbm", c=-2), "micropotential.c"),
-        # a config cannot pass the profile f that fprime0 describes
+        # micropotential holds no fprime0, and the cohesive entry reads none
         (with_keys(GOOD_LINEARIZE, "micropotential", tag="cohesive", fprime0=7.0),
          "fprime0"),
     ], ids=["misspelled-order", "misspelled-laminate-search", "string-bool",
@@ -326,6 +326,14 @@ class TestCliExitCodes:
         bad = write(tmp_path, "bad.json", {"experiment": "nope"})
         assert main(["validate", bad]) == 3
         capsys.readouterr()
+
+    def test_localize_base_cells_is_not_a_key(self, tmp_path, capsys):
+        # localize's grid has at least domain.n_cells cells; nothing overrides that
+        cfg = write(tmp_path, "c.json", with_keys(GOOD_LOCALIZE, "localize", base_cells=64))
+        assert main(["validate", cfg]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert any("base_cells" in p for p in err["detail"])
 
     def test_list_catalog(self, capsys):
         assert main(["list-catalog"]) == 0

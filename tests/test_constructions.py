@@ -112,14 +112,14 @@ class TestLaminate:
     def test_energy_decay_with_concentrating_kernel(self, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(peribond.constructions, "_MAX_CELLS", 96)
-            rows = laminate_energy_decay((0.5, 0.5), [2, 4, 6])
+            rows = laminate_energy_decay((0.5, 0.5), [2, 4, 6], power_potential(2.0), 1.0)
         es = [r.energy for r in rows]
         assert all(np.isfinite(e) and e >= 0 for e in es)
         # k * delta = 1/n -> 0 drives the energy down
         assert es[-1] < es[0]
         # 4 / delta(7) = 196.00000000000003 in floating point; the grid must
         # still get 196 = 4 * 7^2 cells, a whole number per laminate period
-        assert laminate_energy_decay((0.5, 0.5), [7])[0].n_cells == 196
+        assert laminate_energy_decay((0.5, 0.5), [7], power_potential(2.0), 1.0)[0].n_cells == 196
 
 
 class TestRigidityReconstruct:

@@ -9,8 +9,7 @@ import pytest
 import peribond.density
 from helpers import huber_power, rot, set_laminate_grid, tabulated_potential
 from peribond.density import (_eigenvalues, _orthant_rule, _sphere_average,
-                              closed_form_tilde_2d, compute_bounds,
-                              density_laminate_upper, density_lower,
+                              closed_form_tilde_2d, compute_bounds, density_lower,
                               density_lower_batch, density_tilde,
                               density_tilde_batch, singular_values,
                               zero_set_predicate)
@@ -18,7 +17,8 @@ from peribond.grids import SphereQuadrature, sphere_quadrature
 from peribond.materials import Potential, power_potential
 
 PHI2 = power_potential(2.0)
-Q2 = sphere_quadrature(2, 256)
+ORDER2 = 256
+Q2 = sphere_quadrature(2, ORDER2)
 
 
 class TestClosedForm2D:
@@ -465,7 +465,7 @@ class TestLaminateMirrorOrbits:
         for F in Fs:
             tilde = density_tilde(F, phi, m, q)
             want = full_grid_laminate(F, phi, m, q, *grid)
-            got = density_laminate_upper(F, phi, m, q)
+            got = compute_bounds(F, phi, m, 16).laminate_upper
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
             below += want < tilde
         assert below >= 6  # the search is not merely capped at tilde
@@ -483,7 +483,7 @@ class TestLaminateMirrorOrbits:
         for F in Fs:
             tilde = density_tilde(F, phi, m, q)
             want = full_grid_laminate(F, phi, m, q, *grid)
-            got = density_laminate_upper(F, phi, m, q)
+            got = compute_bounds(F, phi, m, 16).laminate_upper
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
 
 
@@ -502,7 +502,7 @@ class TestLaminateSharedShears:
                  @ rot(rng.uniform(0, 7)))
             tilde = density_tilde(F, phi, m, q)
             want = full_grid_laminate(F, phi, m, q, *grid)
-            got = density_laminate_upper(F, phi, m, q)
+            got = compute_bounds(F, phi, m, 16).laminate_upper
             assert abs(got - want) <= 1e-12 * max(1.0, abs(tilde)), F
 
     @pytest.mark.parametrize("phi,m", [(PHI2, 2.0), (power_potential(1.5), 1.0)],
@@ -528,34 +528,35 @@ class TestLaminateSharedShears:
             return average(coef, *args, **kwargs)
 
         monkeypatch.setattr(peribond.density, "_sphere_average", counted)
-        F, q = rot(0.4) @ np.diag([1.3, 0.6]) @ rot(-0.8), sphere_quadrature(2, 8)
+        F = rot(0.4) @ np.diag([1.3, 0.6]) @ rot(-0.8)
         # lower and tilde at F, then the 83 distinct products k j (k <= 15,
         # j <= 12) of each sign on 273 angle pairs; two averages per
         # candidate took 2 * 15 * 12 * 273 = 98,280.  Each refinement round
         # adds at most 2 * 7 * 7 shears on 7 * 7 pairs (the first round's
         # products can still coincide)
-        density_laminate_upper(F, PHI2, 2.0, q)
+        compute_bounds(F, PHI2, 2.0, 8)
         assert 2 + 45_318 < sum(rows) <= 2 + 45_318 + 2 * 98 * 49
         rows.clear()
         set_laminate_grid(monkeypatch, 17, 12, 2.0, 32, 0)
-        density_laminate_upper(F, PHI2, 2.0, q)
+        compute_bounds(F, PHI2, 2.0, 8)
         assert sum(rows) == 2 + 2 * 83 * 273
 
 
-def frame_indifference_check(F, U, phi: Potential, m: float, q: SphereQuadrature) -> float:
+def frame_indifference_check(F, U, phi: Potential, m: float, order: int) -> float:
     """Max deviation of the bound sandwich under left rotation F -> U F."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if np.max(np.abs(U.T @ U - np.eye(U.shape[0]))) > 1e-12:
         raise ValueError("U must be orthogonal")
     F = np.atleast_2d(np.asarray(F, dtype=float))
+    q = sphere_quadrature(F.shape[0], order)
     UF = U @ F
     devs = [
         abs(density_lower(F, phi, m, q) - density_lower(UF, phi, m, q)),
         abs(density_tilde(F, phi, m, q) - density_tilde(UF, phi, m, q)),
     ]
     if F.shape == (2, 2):
-        devs.append(abs(density_laminate_upper(F, phi, m, q)
-                        - density_laminate_upper(UF, phi, m, q)))
+        devs.append(abs(compute_bounds(F, phi, m, order).laminate_upper
+                        - compute_bounds(UF, phi, m, order).laminate_upper))
     return float(max(devs))
 
 
@@ -577,27 +578,27 @@ class TestFrameIndifference:
         # the answer only through the rounding of sigma and the eigenvalues
         F = np.diag([2.5, 0.4])
         set_laminate_grid(monkeypatch, 9, 6, 2.0, 16, 1)
-        v1 = density_laminate_upper(F, PHI2, 2.0, Q2)
-        v2 = density_laminate_upper(rot(0.9) @ F @ rot(-1.7), PHI2, 2.0, Q2)
+        v1 = compute_bounds(F, PHI2, 2.0, ORDER2).laminate_upper
+        v2 = compute_bounds(rot(0.9) @ F @ rot(-1.7), PHI2, 2.0, ORDER2).laminate_upper
         assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_check_helper(self, monkeypatch):
         set_laminate_grid(monkeypatch, 9, 6, 2.0, 16, 1)
         dev = frame_indifference_check(np.diag([1.4, 0.8]), rot(0.77),
-                                       PHI2, 2.0, Q2)
+                                       PHI2, 2.0, ORDER2)
         assert dev < 1e-10
 
     def test_rejects_nonorthogonal(self):
         with pytest.raises(ValueError):
             frame_indifference_check(np.eye(2), np.diag([1.0, 2.0]),
-                                     PHI2, 2.0, Q2)
+                                     PHI2, 2.0, ORDER2)
 
 
 class TestLaminateUpper:
     def test_identity_relaxes_to_zero(self):
         # F = I sits in the zero set; a lamination between +/- rank-one
         # shears reaches (near) zero energy
-        val = density_laminate_upper(np.eye(2), PHI2, 2.0, Q2)
+        val = compute_bounds(np.eye(2), PHI2, 2.0, ORDER2).laminate_upper
         assert val < 1e-6
 
     def test_strict_improvement_inside_unit_ball(self):
@@ -605,7 +606,7 @@ class TestLaminateUpper:
         # relaxed density vanishes, and one lamination level already helps
         F = np.diag([0.5, 0.5])
         tilde = density_tilde(F, PHI2, 2.0, Q2)
-        lam = density_laminate_upper(F, PHI2, 2.0, Q2)
+        lam = compute_bounds(F, PHI2, 2.0, ORDER2).laminate_upper
         assert lam < tilde - 1e-3
         assert lam >= density_lower(F, PHI2, 2.0, Q2)
 
@@ -613,19 +614,26 @@ class TestLaminateUpper:
         # strongly stretched matrices: the plain average is already optimal
         F = 3.0 * np.eye(2)
         tilde = density_tilde(F, PHI2, 2.0, Q2)
-        assert density_laminate_upper(F, PHI2, 2.0, Q2) == pytest.approx(
+        assert compute_bounds(F, PHI2, 2.0, ORDER2).laminate_upper == pytest.approx(
             tilde, abs=1e-12)
 
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            density_laminate_upper(np.eye(3), PHI2, 2.0, sphere_quadrature(3, 32))
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions_report_tilde(self, d, monkeypatch):
+        # only d = 2 runs the search
+        calls = []
+        monkeypatch.setattr(peribond.density, "_shear_averages",
+                            lambda *args: calls.append(args))
+        F = np.diag([0.5, 1.4, 0.8][:d])
+        b = compute_bounds(F, PHI2, 2.0, 32)
+        assert b.laminate_upper == b.tilde
+        assert calls == []
 
     def test_raises_when_below_lower_bound(self, monkeypatch):
         # the sandwich guard must survive python -O, so it is no assert
         monkeypatch.setattr(peribond.density, "density_lower", lambda *a, **k: 1e9)
         set_laminate_grid(monkeypatch, 5, 4, 2.0, 8, 0)
         with pytest.raises(RuntimeError, match="below the lower bound"):
-            density_laminate_upper(np.diag([1.5, 0.25]), PHI2, 2.0, Q2)
+            compute_bounds(np.diag([1.5, 0.25]), PHI2, 2.0, ORDER2)
 
     def test_compute_bounds_evaluates_each_average_once(self, monkeypatch):
         # the laminate search takes compute_bounds' own lower and tilde
@@ -639,8 +647,6 @@ class TestLaminateUpper:
         b = compute_bounds(F, PHI2, 2.0, order=64)
         assert calls == {"density_lower": 1, "density_tilde": 1}
         assert b.lower <= b.laminate_upper <= b.tilde
-        alone = density_laminate_upper(F, PHI2, 2.0, sphere_quadrature(2, 64))
-        assert b.laminate_upper == pytest.approx(alone, rel=1e-14)
 
 
 def fit_coercivity_constant(d: int, phi: Potential, m: float = 1.0,

@@ -623,7 +623,9 @@ class TestLinearizationPass:
         w = catalog_potential("quartic")
         with pytest.raises(ValueError, match="support_radius"):
             energy_E_eps(u, w, 1.0, 0.1)
-        with pytest.raises(ValueError, match="support_radius"):
+        # linearization_experiment takes no pair set, so its radius is a
+        # required argument
+        with pytest.raises(TypeError, match="support_radius"):
             linearization_experiment(u, w, 1.0, [0.1, 0.05])
         with pytest.raises(ValueError, match="support_radius"):
             energy_E0(u, make_rescaled(box_kernel(1), 0.2))

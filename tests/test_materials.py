@@ -263,19 +263,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog_potential("nope")
 
-    def test_cohesive_fprime0_needs_its_profile(self):
-        with pytest.raises(ValueError, match="fprime0"):
-            catalog_potential("cohesive", fprime0=7.0)
-        w = catalog_potential("cohesive", f=lambda x: 7.0 * x / (1.0 + x), fprime0=7.0)
-        assert w.psi_ss0(np.array([0.5]))[0] == pytest.approx(7.0)
-        assert (w.c1, w.c2) == (7.0 / 4, 28.0)
-
     @pytest.mark.parametrize("tag,params", [
         ("mbm", {}), ("mbm", {"s0": 0.2, "c": 3.0}), ("mbm_smooth", {}),
         ("modified_mbm", {}), ("modified_mbm", {"s0": 0.3}),
-        ("cohesive", {}),
-        ("cohesive", {"f": lambda x: 7.0 * x / (1.0 + x), "fprime0": 7.0}),
-        ("quartic", {}), ("two_well", {}), ("two_well", {"s0": 0.3})])
+        ("cohesive", {}), ("quartic", {}), ("two_well", {}), ("two_well", {"s0": 0.3})])
     def test_closed_form_curvature_matches_finite_differences(self, tag, params):
         w = catalog_potential(tag, **params)
         r = np.array([0.25, 0.5, 1.0, 2.0])
@@ -284,7 +275,8 @@ class TestCatalog:
 
     @pytest.mark.parametrize("tag,param", [("quartic", "c"), ("quartic", "s0"),
                                            ("two_well", "c"), ("mbm_smooth", "s0"),
-                                           ("cohesive", "s0")])
+                                           ("cohesive", "s0"), ("cohesive", "f"),
+                                           ("cohesive", "fprime0")])
     def test_rejects_a_parameter_the_tag_does_not_read(self, tag, param):
         with pytest.raises(ValueError, match=f"'{param}' is not read by catalog tag '{tag}'"):
             catalog_potential(tag, **{param: 0.3})

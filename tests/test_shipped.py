@@ -1,6 +1,7 @@
 """The shipped demos and configs run to a clean exit against the library,
 everything the library exports has a use outside the tests, and every
-benchmark record at the root says what ran, where and how."""
+benchmark record at the root says what ran, where and how; README's
+quick start runs too."""
 
 import ast
 import json
@@ -25,6 +26,13 @@ def test_demo_runs(path, capsys):
 def test_config_runs(path, tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path)]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert "laminate_upper" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
